@@ -15,7 +15,7 @@ import os
 import platform
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -234,17 +234,7 @@ def _run_one_scale(n_devices: int, model_path: str, work_dir: str,
                    sim_config: sim.SimConfig, feature_set: str,
                    rate_multiplier: float, partitions: int = 3) -> dict:
     data_dir = os.path.join(work_dir, f"broker-{n_devices}")
-    cfg = sim.SimConfig(
-        n_devices=n_devices,
-        duration_s=sim_config.duration_s,
-        anomaly_device_fraction=sim_config.anomaly_device_fraction,
-        seed=sim_config.seed,
-        rate_flows_per_s=sim_config.rate_flows_per_s,
-        overlap=sim_config.overlap,
-        cnc_fixed_size=sim_config.cnc_fixed_size,
-        base_ts=sim_config.base_ts,
-    )
-    records = sim.generate(cfg)
+    records = sim.generate(replace(sim_config, n_devices=n_devices))
     with Broker(BrokerConfig(data_dir=data_dir)) as broker:
         with BrokerServer(broker) as server:
             producer = TcpClient("127.0.0.1", server.port, consumer_id="prod")

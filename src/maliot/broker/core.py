@@ -230,12 +230,19 @@ class Broker:
     # -- produce ----------------------------------------------------------
 
     def _in_flight(self, topic: str, partition: int) -> int:
+        """Messages past the slowest commit among the topic's own groups.
+
+        Only groups that subscribed to or committed on ``topic`` count; with
+        none, the whole partition is in flight.
+        """
         length = len(self._topics[topic][partition].rows)
-        floor = None
-        for g in self._groups.values():
-            off = g.committed.get(topic, {}).get(partition, 0)
-            floor = off if floor is None else min(floor, off)
-        return length - (floor or 0)
+        floor = min(
+            (g.committed.get(topic, {}).get(partition, 0)
+             for g in self._groups.values()
+             if topic in g.members or topic in g.committed),
+            default=0,
+        )
+        return length - floor
 
     def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
         """Durably append one message; returns (partition, offset)."""

@@ -129,21 +129,40 @@ def grow_tree(
     }
 
 
+def walk(nodes: dict, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Leaf id reached by every (row, root) pair, shape (rows, roots).
+
+    ``nodes`` holds flat ``feature``/``threshold``/``left``/``right`` arrays
+    (one tree, or many trees concatenated with their child indices offset);
+    a node is a leaf when its feature is ``LEAF``.  All pairs descend one
+    level per step, and pairs that reach a leaf drop out of the step.
+    """
+    n, k = X.shape[0], roots.size
+    feature, threshold = nodes["feature"], nodes["threshold"]
+    left, right = nodes["left"], nodes["right"]
+    x = np.ascontiguousarray(X).ravel()
+    leaves = np.empty(n * k, dtype=np.int64)
+    pair = np.arange(n * k)
+    node = np.tile(roots, n)
+    base = np.repeat(np.arange(n) * X.shape[1], k)  # row start of each pair in x
+    while pair.size:
+        feat = feature[node]
+        inner = feat >= 0
+        if not inner.all():
+            done = ~inner
+            leaves[pair[done]] = node[done]
+            pair, node, base, feat = pair[inner], node[inner], base[inner], feat[inner]
+        go_left = x[base + feat] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return leaves.reshape(n, k)
+
+
+_ROOT = np.zeros(1, dtype=np.int64)
+
+
 def tree_scores(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf anomaly fraction for every row, walking all rows in lockstep."""
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    while True:
-        feat = tree["feature"][node]
-        interior = feat >= 0
-        if not interior.any():
-            break
-        r = rows[interior]
-        nb = node[interior]
-        go_left = X[r, tree["feature"][nb]] <= tree["threshold"][nb]
-        node[interior] = np.where(go_left, tree["left"][nb], tree["right"][nb])
-    return tree["value"][node]
+    """Leaf anomaly fraction for every row."""
+    return tree["value"][walk(tree, _ROOT, X)[:, 0]]
 
 
 def fit(X: np.ndarray, y: np.ndarray, config: TreeConfig, seed: int) -> dict:

@@ -187,6 +187,26 @@ def test_backpressure_blocks_then_times_out(tmp_path):
         assert unblocked == [(0, 3)]
 
 
+def test_backpressure_ignores_groups_on_other_topics(tmp_path):
+    config = BrokerConfig(data_dir=str(tmp_path / "b"),
+                          max_partition_backlog=5, produce_timeout_ms=80.0)
+    with Broker(config) as b:
+        b.create_topic("a", 1)
+        b.create_topic("b", 1)
+        b.subscribe("gb", "b")  # never touches topic a
+        b.subscribe("ga", "a")
+        for i in range(12):  # well past the backlog, "ga" keeping up
+            b.produce("a", "k", str(i))
+            got = b.poll("ga", "a", 10)
+            b.commit("ga", "a", {0: got[-1].offset + 1})
+        assert b.partition_length("a", 0) == 12
+        # a group that lags on its own topic still holds producers back
+        for i in range(5):
+            b.produce("b", "k", str(i))
+        with pytest.raises(BackpressureTimeoutError):
+            b.produce("b", "k", "overflow")
+
+
 def test_poll_blocks_until_data_arrives(broker):
     broker.create_topic("t", 1)
     broker.subscribe("g", "t")

@@ -11,6 +11,7 @@ from maliot.broker import Broker, BrokerConfig, InProcClient
 from maliot.engine import (
     EngineConfig,
     StreamEngine,
+    Verdict,
     codec_path_for,
     retrain_from_persisted,
 )
@@ -87,6 +88,20 @@ def test_every_produced_row_gets_a_verdict(stack, tmp_path, small_corpus):
     # offsets fully committed
     done = broker.committed("engine", "flows")
     assert sum(done.values()) == len(small_corpus)
+
+
+def test_stdout_sink_writes_one_verdict_json_per_line(
+        stack, tmp_path, small_corpus, capsys):
+    broker, model_path = stack
+    engine = _engine(broker, model_path, tmp_path, sink="stdout")
+    engine.run(idle_limit=2)
+    engine.close()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == engine.metrics.verdicts == len(small_corpus)
+    verdicts = [Verdict(**json.loads(line)) for line in lines]
+    assert all(v.to_json() == line for v, line in zip(verdicts, lines))
+    keys = {(v.partition, v.offset) for v in verdicts}
+    assert len(keys) == len(small_corpus)
 
 
 def test_malformed_rows_skipped_and_committed(tmp_path, small_corpus):

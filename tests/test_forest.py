@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maliot import models
 from maliot.models import ForestConfig, TreeConfig
+from maliot.models.tree import LEAF
 
 
 def _toy(rng, n=120, d=5):
@@ -102,3 +105,56 @@ def test_depth_config_propagates(rng):
                      config=ForestConfig(n_trees=5, max_depth=1))
     for t in m.params["trees"]:
         assert len(t["feature"]) <= 3  # root plus two leaves
+
+
+def _per_tree_vote_counts(params, X):
+    """Oracle: anomaly votes per row, one tree and one row at a time."""
+    counts = np.zeros(X.shape[0], dtype=np.int64)
+    for t in params["trees"]:
+        for i, x in enumerate(X):
+            node = 0
+            while t["feature"][node] != LEAF:
+                j = t["feature"][node]
+                node = (t["left"][node] if x[j] <= t["threshold"][node]
+                        else t["right"][node])
+            counts[i] += t["value"][node] >= 0.5
+    return counts
+
+
+@given(
+    n_trees=st.integers(1, 12),
+    n_rows=st.integers(4, 40),
+    positive_share=st.floats(0.0, 1.0),
+    batch=st.sampled_from([0, 1, 255, 256, 257, 1000]),
+    seed=st.integers(0, 2**16),
+)
+@example(n_trees=12, n_rows=4, positive_share=0.0, batch=257, seed=0)
+@example(n_trees=2, n_rows=40, positive_share=0.5, batch=256, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_packed_walk_matches_per_tree_loop(tmp_path_factory, n_trees, n_rows,
+                                          positive_share, batch, seed):
+    rng = np.random.default_rng(seed)
+    # Noise labels on a coarse grid: trees disagree (ties at even n_trees),
+    # and with few positives some bootstrap samples are pure, so those
+    # trees are a single root leaf.
+    X = rng.integers(0, 4, size=(n_rows, 3)).astype(np.float64)
+    y = (rng.random(n_rows) < positive_share).astype(np.int8)
+    y[0], y[1] = 1, 0  # training needs both classes
+    m = models.train("random_forest", X, y, seed=seed,
+                     config=ForestConfig(n_trees=n_trees))
+    # queries hit the grid and every threshold exactly (the <= boundary)
+    thresholds = np.concatenate([t["threshold"] for t in m.params["trees"]])
+    pool = np.concatenate([np.arange(-1.0, 5.0, 0.5), thresholds])
+    q = rng.choice(pool, size=(batch, 3))
+
+    counts = _per_tree_vote_counts(m.params, q)
+    scores = models.score_batch(m, q)
+    assert scores.shape == (batch,)
+    assert np.array_equal(scores, counts / n_trees)
+    # tie_break="benign": an exactly split vote stays benign
+    assert np.array_equal(models.labels_from_scores(m, scores),
+                          2 * counts > n_trees)
+
+    path = tmp_path_factory.mktemp("forest") / "rf.json"
+    models.save_model(m, path)
+    assert np.array_equal(models.score_batch(models.load_model(path), q), scores)
