@@ -1,8 +1,9 @@
 """Producer/consumer clients: one in-process, one speaking the TCP frames.
 
-Both expose the same five calls (create_topic, produce, subscribe, poll,
-commit) with the same error behavior, so everything downstream takes "a
-client" and never cares which transport is underneath.
+Both expose the same calls (create_topic, produce, subscribe, poll, commit,
+leave) with the same error behavior, so everything downstream takes "a
+client" and never cares which transport is underneath.  Both keep their
+read positions here, in the client; the broker keeps none.
 """
 
 from __future__ import annotations
@@ -25,12 +26,54 @@ from .protocol import (
 )
 
 
-class InProcClient:
+class _PositionKeeper:
+    """Read positions per (group, topic), partition -> next offset.
+
+    ``subscribe`` clears them, so a new session resumes from the committed
+    offsets.  Partitions a fetch no longer assigns are dropped: a member
+    keeps its position in the partitions it still owns, and a partition
+    that changes owner starts from its committed offset.  A failed fetch
+    moves nothing, so a retry returns the same rows.
+    """
+
+    def __init__(self, consumer_id: str):
+        self.consumer_id = consumer_id
+        self._positions: dict[tuple[str, str], dict[int, int]] = {}
+
+    def subscribe(self, group: str, topic: str) -> None:
+        self._membership("subscribe", group, topic)
+        self._positions.pop((group, topic), None)
+
+    def leave(self, group: str, topic: str) -> None:
+        self._positions.pop((group, topic), None)
+        self._membership("leave", group, topic)
+
+    def poll(self, group: str, topic: str, max_messages: int = 100,
+             timeout_ms: float = 0.0) -> list[Message]:
+        pos = self._positions.setdefault((group, topic), {})
+        msgs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms)
+        for p in set(pos).difference(assigned):
+            del pos[p]
+        for m in msgs:
+            pos[m.partition] = m.offset + 1
+        if pos:  # rotate, so the next capped fetch starts elsewhere
+            first = next(iter(pos))
+            pos[first] = pos.pop(first)
+        return msgs
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class InProcClient(_PositionKeeper):
     """Thin veneer over a Broker object living in the same process."""
 
     def __init__(self, broker: Broker, consumer_id: str = "_default"):
+        super().__init__(consumer_id)
         self.broker = broker
-        self.consumer_id = consumer_id
 
     def create_topic(self, topic: str, partitions: int) -> None:
         self.broker.create_topic(topic, partitions)
@@ -38,16 +81,12 @@ class InProcClient:
     def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
         return self.broker.produce(topic, key, value)
 
-    def subscribe(self, group: str, topic: str) -> None:
-        self.broker.subscribe(group, topic, self.consumer_id)
+    def _membership(self, op: str, group: str, topic: str) -> None:
+        getattr(self.broker, op)(group, topic, self.consumer_id)
 
-    def leave(self, group: str, topic: str) -> None:
-        self.broker.leave(group, topic, self.consumer_id)
-
-    def poll(self, group: str, topic: str, max_messages: int = 100,
-             timeout_ms: float = 0.0) -> list[Message]:
-        return self.broker.poll(group, topic, max_messages, timeout_ms,
-                                self.consumer_id)
+    def _fetch(self, group, topic, positions, max_messages, timeout_ms):
+        return self.broker.fetch(group, topic, positions, max_messages,
+                                 timeout_ms, self.consumer_id)
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         self.broker.commit(group, topic, offsets)
@@ -56,7 +95,7 @@ class InProcClient:
         pass
 
 
-class TcpClient:
+class TcpClient(_PositionKeeper):
     """Blocking single-connection client for the D-frame protocol.
 
     Connection establishment retries a few times with a flat delay and
@@ -67,9 +106,9 @@ class TcpClient:
     def __init__(self, host: str, port: int, consumer_id: str = "_default",
                  connect_retries: int = 3, retry_delay_s: float = 0.2,
                  timeout_s: float = 30.0):
+        super().__init__(consumer_id)
         self.host = host
         self.port = port
-        self.consumer_id = consumer_id
         self.connect_retries = connect_retries
         self.retry_delay_s = retry_delay_s
         self.timeout_s = timeout_s
@@ -126,29 +165,17 @@ class TcpClient:
         r = self._call(OP_PRODUCE, {"topic": topic, "key": key, "value": value})
         return int(r["partition"]), int(r["offset"])
 
-    def subscribe(self, group: str, topic: str) -> None:
-        self._call(OP_POLL, {
-            "group": group, "topic": topic, "consumer": self.consumer_id,
-            "subscribe": True, "max_messages": 0,
-        })
+    def _membership(self, op: str, group: str, topic: str) -> None:
+        self._call(OP_POLL, {"group": group, "topic": topic,
+                             "consumer": self.consumer_id, op: True})
 
-    def leave(self, group: str, topic: str) -> None:
-        self._call(OP_POLL, {
-            "group": group, "topic": topic, "consumer": self.consumer_id,
-            "leave": True,
-        })
-
-    def poll(self, group: str, topic: str, max_messages: int = 100,
-             timeout_ms: float = 0.0) -> list[Message]:
+    def _fetch(self, group, topic, positions, max_messages, timeout_ms):
         r = self._call(OP_POLL, {
             "group": group, "topic": topic, "consumer": self.consumer_id,
-            "max_messages": max_messages, "timeout_ms": timeout_ms,
+            "positions": positions, "max_messages": max_messages,
+            "timeout_ms": timeout_ms,
         })
-        return [
-            Message(m["topic"], int(m["partition"]), int(m["offset"]),
-                    str(m["key"]), str(m["value"]))
-            for m in r["messages"]
-        ]
+        return [Message(**m) for m in r["messages"]], r["assigned"]
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         self._call(OP_COMMIT, {
@@ -158,9 +185,3 @@ class TcpClient:
 
     def close(self) -> None:
         self._drop()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

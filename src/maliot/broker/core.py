@@ -3,8 +3,9 @@
 Semantics in brief: a topic is N append-only partitions; a message lands on
 partition crc32(key) mod N, getting the next contiguous offset; consumer
 groups own a committed offset per partition, and anything at or past the
-committed mark is redelivered after a restart.  Poll positions are
-volatile; only commit survives.
+committed mark is redelivered after a restart.  The broker keeps no read
+position: each fetch names the offset every partition starts from, and
+the client keeps those positions (see client.py).
 """
 
 from __future__ import annotations
@@ -127,16 +128,6 @@ class _Partition:
             self._fh = None
 
 
-class _Group:
-    """Committed offsets plus the volatile member/position bookkeeping."""
-
-    def __init__(self):
-        self.committed: dict[str, dict[int, int]] = {}  # topic -> {p: offset}
-        self.members: dict[str, list[str]] = {}  # topic -> consumer ids, join order
-        self.positions: dict[tuple[str, str], dict[int, int]] = {}  # (topic, cid)
-        self.next_partition: dict[tuple[str, str], int] = {}  # poll fairness cursor
-
-
 class Broker:
     """In-process broker core; both transports drive this object."""
 
@@ -150,7 +141,10 @@ class Broker:
         self._data_arrived = threading.Condition(self._lock)
         self._space_freed = threading.Condition(self._lock)
         self._topics: dict[str, list[_Partition]] = {}
-        self._groups: dict[str, _Group] = {}
+        # group -> topic -> {partition: next offset}, persisted on commit
+        self._committed: dict[str, dict[str, dict[int, int]]] = {}
+        # (group, topic) -> consumer ids in join order; volatile
+        self._members: dict[tuple[str, str], list[str]] = {}
         self._closed = False
         os.makedirs(config.data_dir, exist_ok=True)
         self._topics_path = os.path.join(config.data_dir, "topics.json")
@@ -167,14 +161,16 @@ class Broker:
                         _Partition(self._log_path(name, p)) for p in range(count)
                     ]
         if os.path.exists(self._offsets_path):
+            # Commits are always fsynced but appends may not be, so after an
+            # OS crash a commit can name an offset past the recovered log;
+            # clamp it, or new produces would land below the commit.
             with open(self._offsets_path, encoding="utf-8") as fh:
                 for gid, topics in json.load(fh).items():
-                    g = _Group()
-                    g.committed = {
-                        t: {int(p): o for p, o in offs.items()}
+                    self._committed[gid] = {
+                        t: {int(p): min(o, len(self._topics[t][int(p)].rows))
+                            for p, o in offs.items()}
                         for t, offs in topics.items()
                     }
-                    self._groups[gid] = g
 
     def _log_path(self, topic: str, partition: int) -> str:
         return os.path.join(self.config.data_dir, f"{topic}-{partition}.log")
@@ -184,15 +180,6 @@ class Broker:
             self._topics_path,
             {name: len(parts) for name, parts in self._topics.items()},
         )
-
-    def _save_offsets(self) -> None:
-        doc = {
-            gid: {t: {str(p): o for p, o in offs.items()}
-                  for t, offs in g.committed.items()}
-            for gid, g in self._groups.items()
-            if g.committed
-        }
-        _atomic_write_json(self._offsets_path, doc)
 
     # -- topics -----------------------------------------------------------
 
@@ -236,12 +223,10 @@ class Broker:
         none, the whole partition is in flight.
         """
         length = len(self._topics[topic][partition].rows)
-        floor = min(
-            (g.committed.get(topic, {}).get(partition, 0)
-             for g in self._groups.values()
-             if topic in g.members or topic in g.committed),
-            default=0,
-        )
+        groups = {g for g, t in self._members if t == topic}
+        groups.update(g for g, topics in self._committed.items() if topic in topics)
+        floor = min((self._committed.get(g, {}).get(topic, {}).get(partition, 0)
+                     for g in groups), default=0)
         return length - floor
 
     def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
@@ -268,101 +253,64 @@ class Broker:
 
     # -- consume ----------------------------------------------------------
 
-    def _group(self, group_id: str) -> _Group:
-        g = self._groups.get(group_id)
-        if g is None:
-            g = self._groups[group_id] = _Group()
-        return g
-
-    def _assignment(self, g: _Group, topic: str, consumer_id: str) -> list[int]:
-        members = g.members.setdefault(topic, [])
+    def _assignment(self, group_id: str, topic: str, consumer_id: str) -> list[int]:
+        """Join if needed; members split partitions round-robin by join order."""
+        n = len(self._parts(topic))
+        members = self._members.setdefault((group_id, topic), [])
         if consumer_id not in members:
             members.append(consumer_id)
-            # Joining resets every member's position in this topic to the
-            # committed mark; uncommitted progress is meant to replay.
-            for (t, cid) in list(g.positions):
-                if t == topic:
-                    del g.positions[(t, cid)]
-        n = len(self._parts(topic))
         rank = members.index(consumer_id)
         return [p for p in range(n) if p % len(members) == rank]
 
-    def _positions(self, g: _Group, topic: str, consumer_id: str,
-                   assigned: list[int]) -> dict[int, int]:
-        key = (topic, consumer_id)
-        pos = g.positions.get(key)
-        if pos is None:
-            committed = g.committed.get(topic, {})
-            pos = {p: committed.get(p, 0) for p in assigned}
-            g.positions[key] = pos
-        for p in assigned:
-            pos.setdefault(p, g.committed.get(topic, {}).get(p, 0))
-        return pos
-
     def subscribe(self, group_id: str, topic: str,
                   consumer_id: str = "_default") -> None:
-        """Start (or restart) a consumer session.
-
-        A fresh session forgets volatile poll positions and resumes from
-        the committed offsets, which is exactly how uncommitted messages
-        get redelivered after a consumer dies.
-        """
+        """Join the group's membership for ``topic``."""
         with self._lock:
-            self._parts(topic)
-            g = self._group(group_id)
-            members = g.members.setdefault(topic, [])
-            if consumer_id not in members:
-                members.append(consumer_id)
-                for (t, cid) in list(g.positions):
-                    if t == topic:
-                        del g.positions[(t, cid)]
-            else:
-                g.positions.pop((topic, consumer_id), None)
+            self._assignment(group_id, topic, consumer_id)
 
     def leave(self, group_id: str, topic: str,
               consumer_id: str = "_default") -> None:
         with self._lock:
-            g = self._group(group_id)
-            members = g.members.get(topic, [])
+            members = self._members.get((group_id, topic), [])
             if consumer_id in members:
                 members.remove(consumer_id)
-                for (t, cid) in list(g.positions):
-                    if t == topic:
-                        del g.positions[(t, cid)]
 
-    def poll(self, group_id: str, topic: str, max_messages: int = 100,
-             timeout_ms: float = 0.0, consumer_id: str = "_default") -> list[Message]:
-        """Fetch up to max_messages from this consumer's partitions.
+    def fetch(self, group_id: str, topic: str, positions: dict[int, int],
+              max_messages: int = 100, timeout_ms: float = 0.0,
+              consumer_id: str = "_default") -> tuple[list[Message], list[int]]:
+        """Read up to max_messages from this consumer's partitions.
 
-        Blocks up to timeout_ms for the first message; an empty list on
-        timeout is normal, not an error.  Never advances commits.
+        Each assigned partition starts at ``positions[p]``, or at the
+        group's committed offset when the caller names none.  Unnamed
+        partitions are read first, then named ones in the caller's order,
+        so a client that rotates its positions gets fair turns under the
+        cap.  Blocks up to timeout_ms for the first message; an empty list
+        on timeout is normal.  Returns the messages and the partitions
+        currently assigned to this consumer.  Keeps no read state.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
         with self._lock:
             while True:
                 parts = self._parts(topic)
-                g = self._group(group_id)
-                assigned = self._assignment(g, topic, consumer_id)
-                pos = self._positions(g, topic, consumer_id, assigned)
+                assigned = self._assignment(group_id, topic, consumer_id)
+                committed = self._committed.get(group_id, {}).get(topic, {})
+                order = [p for p in assigned if p not in positions]
+                order += [p for p in positions if p in assigned]
                 batch: list[Message] = []
-                if assigned:
-                    cursor_key = (topic, consumer_id)
-                    start = g.next_partition.get(cursor_key, 0) % len(assigned)
-                    for step in range(len(assigned)):
-                        p = assigned[(start + step) % len(assigned)]
-                        rows = parts[p].rows
-                        while pos[p] < len(rows) and len(batch) < max_messages:
-                            key, value = rows[pos[p]]
-                            batch.append(Message(topic, p, pos[p], key, value))
-                            pos[p] += 1
-                        if len(batch) >= max_messages:
-                            break
-                    g.next_partition[cursor_key] = (start + 1) % len(assigned)
+                for p in order:
+                    rows = parts[p].rows
+                    start = positions.get(p, committed.get(p, 0))
+                    if not 0 <= start <= len(rows):
+                        raise OffsetOutOfRangeError(
+                            f"{topic}[{p}] position {start} > high water {len(rows)}"
+                        )
+                    end = min(len(rows), start + max_messages - len(batch))
+                    batch += [Message(topic, p, o, *rows[o]) for o in range(start, end)]
                 if batch:
-                    return batch
+                    return batch, assigned
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return []
+                    return [], assigned
                 self._data_arrived.wait(remaining)
 
     def commit(self, group_id: str, topic: str, offsets: dict[int, int]) -> None:
@@ -376,24 +324,17 @@ class Broker:
                     raise OffsetOutOfRangeError(
                         f"{topic}[{p}] offset {off} > high water {len(parts[p].rows)}"
                     )
-            g = self._group(group_id)
-            topic_offsets = g.committed.setdefault(topic, {})
+            topic_offsets = self._committed.setdefault(group_id, {}).setdefault(topic, {})
             for p, off in offsets.items():
                 topic_offsets[p] = int(off)
-            self._save_offsets()
+            _atomic_write_json(self._offsets_path, self._committed)
             self._space_freed.notify_all()
 
     def committed(self, group_id: str, topic: str) -> dict[int, int]:
         with self._lock:
-            return dict(self._group(group_id).committed.get(topic, {}))
+            return dict(self._committed.get(group_id, {}).get(topic, {}))
 
     # -- lifecycle --------------------------------------------------------
-
-    def flush(self) -> None:
-        with self._lock:
-            for parts in self._topics.values():
-                for part in parts:
-                    part.sync()
 
     def close(self) -> None:
         with self._lock:

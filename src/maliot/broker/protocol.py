@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import struct
 
-from ..errors import BrokerError
+from ..errors import ProtocolError
 
 OP_CREATE = 1
 OP_PRODUCE = 2
@@ -22,19 +22,38 @@ OP_ERR = 6
 OPCODES = (OP_CREATE, OP_PRODUCE, OP_POLL, OP_COMMIT, OP_ACK, OP_ERR)
 
 MAX_FRAME = 16 * 1024 * 1024
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # built once, not per frame
 
 
-class ProtocolError(BrokerError):
-    """Malformed frame on the wire."""
+def _json(doc) -> bytes:
+    return _ENCODER.encode(doc).encode("utf-8")
+
+
+def _frame(opcode: int, body: bytes) -> bytes:
+    length = 1 + len(body)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
+    return struct.pack(">IB", length, opcode) + body
 
 
 def encode_frame(opcode: int, body: dict) -> bytes:
     if opcode not in OPCODES:
         raise ProtocolError(f"bad opcode {opcode}")
-    payload = bytes([opcode]) + json.dumps(body, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME}")
-    return struct.pack(">I", len(payload)) + payload
+    return _frame(opcode, _json(body))
+
+
+def encode_ack(body: dict) -> bytes:
+    """ACK frame; a POLL reply's ``messages`` are halved until it fits.
+
+    The client advances only past what it receives, so the rest comes with
+    its next fetch.  A first message that fits no frame raises ProtocolError.
+    """
+    while True:
+        data = _json(body)
+        messages = body.get("messages", ())
+        if 1 + len(data) <= MAX_FRAME or len(messages) <= 1:
+            return _frame(OP_ACK, data)
+        body = {**body, "messages": messages[:len(messages) // 2]}
 
 
 def _read_exact(sock, n: int) -> bytes:

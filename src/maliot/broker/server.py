@@ -9,13 +9,13 @@ import threading
 from ..errors import MaliotError
 from .core import Broker
 from .protocol import (
-    OP_ACK,
     OP_COMMIT,
     OP_CREATE,
     OP_ERR,
     OP_POLL,
     OP_PRODUCE,
     ProtocolError,
+    encode_ack,
     encode_frame,
     read_frame,
 )
@@ -59,6 +59,8 @@ class BrokerServer:
                 target=self._serve_connection, args=(conn, addr), daemon=True
             )
             t.start()
+            # keep only live threads, so a long-running broker stays bounded
+            self._threads = [th for th in self._threads if th.is_alive()]
             self._threads.append(t)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
@@ -73,7 +75,7 @@ class BrokerServer:
                     self._send_err(conn, exc)
                     return
                 try:
-                    reply = self._dispatch(opcode, body)
+                    frame = encode_ack(self._dispatch(opcode, body))
                 except MaliotError as exc:
                     self._send_err(conn, exc)
                     continue
@@ -82,7 +84,7 @@ class BrokerServer:
                     self._send_err(conn, MaliotError("internal error"))
                     continue
                 try:
-                    conn.sendall(encode_frame(OP_ACK, reply))
+                    conn.sendall(frame)
                 except OSError:
                     return
 
@@ -108,21 +110,22 @@ class BrokerServer:
             consumer = str(body.get("consumer", "_default"))
             if body.get("subscribe"):
                 self.broker.subscribe(group, topic, consumer)
+                return {}
             if body.get("leave"):
                 self.broker.leave(group, topic, consumer)
-                return {"messages": []}
-            n = int(body.get("max_messages", 0))
-            if n <= 0:
-                return {"messages": []}
-            msgs = self.broker.poll(
-                group, topic, n, float(body.get("timeout_ms", 0.0)), consumer
+                return {}
+            positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
+            msgs, assigned = self.broker.fetch(
+                group, topic, positions, int(body.get("max_messages", 100)),
+                float(body.get("timeout_ms", 0.0)), consumer,
             )
             return {
                 "messages": [
                     {"topic": m.topic, "partition": m.partition,
                      "offset": m.offset, "key": m.key, "value": m.value}
                     for m in msgs
-                ]
+                ],
+                "assigned": assigned,
             }
         if opcode == OP_COMMIT:
             offsets = {int(p): int(o) for p, o in body["offsets"].items()}
@@ -133,9 +136,10 @@ class BrokerServer:
     def close(self) -> None:
         self._stop.set()
         try:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
         except OSError:
             pass
+        self._sock.close()
         for t in self._threads:
             t.join(timeout=1.0)
 

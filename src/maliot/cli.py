@@ -81,13 +81,19 @@ class Settings:
         value = getattr(self.args, dest, None)
         if value is not None:
             if isinstance(value, str) and cast is not str:
-                return _as_bool(value) if cast is bool else cast(value)
+                return _cast(name, value, cast)
             return value
         for key in (f"{self.sub}.{name}", name):
             if key in self.file_values:
-                raw = self.file_values[key]
-                return _as_bool(raw) if cast is bool else cast(raw)
+                return _cast(key, self.file_values[key], cast)
         return default
+
+
+def _cast(key: str, raw: str, cast):
+    try:
+        return _as_bool(raw) if cast is bool else cast(raw)
+    except ValueError:
+        raise BadConfigError(f"{key} = {raw!r} is not a valid {cast.__name__}") from None
 
 
 def _parse_sweep(text: str) -> list[int]:
@@ -191,8 +197,9 @@ def cmd_train(s: Settings, seed: int) -> int:
         seed=seed, codec_fingerprint=codec.fingerprint(),
         version=s.get("version", 1, int),
     )
-    models.save_model(model, out)
+    # codec first: `serve --watch-model` watches the model file
     codec.save(codec_path_for(out))
+    models.save_model(model, out)
     Xte, yte = encode_batch(test_recs, codec)
     metrics = models.evaluate(model, Xte, yte)
     print(json.dumps({
@@ -405,8 +412,8 @@ def cmd_retrain(s: Settings, seed: int) -> int:
         config=_model_config_for(kind, s.get("epochs", None, int)),
         seed=seed, version=version,
     )
+    codec.save(codec_path_for(out))  # before the watched model file
     models.save_model(model, out)
-    codec.save(codec_path_for(out))
     print(json.dumps({"kind": kind, "version": version, "model": out,
                       "codec": codec_path_for(out)}))
     return EXIT_OK
@@ -598,7 +605,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     settings = Settings(args, file_values)
-    seed = settings.get("seed", 0, int)
     level = settings.get("log-level", "info")
     logging.basicConfig(
         stream=sys.stderr,
@@ -607,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     try:
-        return _COMMANDS[args.command](settings, seed)
+        return _COMMANDS[args.command](settings, settings.get("seed", 0, int))
     except KeyboardInterrupt:
         return EXIT_OK
     except BadConfigError as exc:

@@ -94,6 +94,10 @@ class BrokerUnreachableError(BrokerError):
     """TCP broker could not be reached after bounded retries (exit 5)."""
 
 
+class ProtocolError(BrokerError):
+    """Malformed frame on the wire, or a reply that cannot fit in one."""
+
+
 # name -> class registry so the wire protocol can rehydrate errors
 ERROR_REGISTRY = {
     cls.__name__: cls
@@ -115,5 +119,6 @@ ERROR_REGISTRY = {
         OffsetOutOfRangeError,
         BackpressureTimeoutError,
         BrokerUnreachableError,
+        ProtocolError,
     )
 }

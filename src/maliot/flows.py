@@ -167,13 +167,17 @@ def _port(s: str, name: str) -> int:
     return v
 
 
+# Years 1-9999 UTC, so time.gmtime() works on every accepted row's ts.
+_TS_MIN, _TS_END = -62135596800.0, 253402300800.0  # 0001-01-01, 10000-01-01
+
+
 def _ts(s: str) -> float:
     s = s.strip()
     try:
         v = float(s)
     except ValueError:
         raise ParseError("bad_numeric", f"ts={s!r}") from None
-    if not math.isfinite(v):
+    if not _TS_MIN <= v < _TS_END:  # also rejects nan and inf
         raise ParseError("bad_numeric", f"ts={s!r} out of range")
     return v
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from maliot import bench, flows, models, sim
-from maliot.broker import Broker, BrokerConfig, BrokerServer
+from maliot.broker import Broker, BrokerConfig, BrokerServer, InProcClient
 from maliot.broker.core import partition_for_key
 from maliot.cli import main as cli_main
 from maliot.engine import codec_path_for
@@ -276,19 +276,20 @@ def test_acceptance_6_at_least_once(request, tmp_path):
             p, o = b.produce("t", key, json.dumps({"i": i}))
             produced[(p, o)] = key
 
-        b.subscribe("g", "t", consumer_id="c")
+        c = InProcClient(b, consumer_id="c")
+        c.subscribe("g", "t")
         delivered = []
         crashes = 0
         batch_no = 0
         while sum(b.committed("g", "t").values()) < 1000:
             batch_no += 1
             assert batch_no < 300, "consumer loop failed to converge"
-            msgs = b.poll("g", "t", max_messages=25, consumer_id="c")
+            msgs = c.poll("g", "t", max_messages=25)
             delivered.extend((m.partition, m.offset, m.key) for m in msgs)
             if batch_no in crash_points:
                 # die between emission and commit, then come back
                 crashes += 1
-                b.subscribe("g", "t", consumer_id="c")
+                c.subscribe("g", "t")
                 continue
             ends = {}
             for m in msgs:

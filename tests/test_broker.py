@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from maliot.broker import Broker, BrokerConfig, partition_for_key
+from maliot.broker import Broker, BrokerConfig, InProcClient, partition_for_key
 from maliot.errors import (
     BackpressureTimeoutError,
     BadConfigError,
@@ -22,6 +22,11 @@ from maliot.errors import (
 def broker(tmp_path):
     with Broker(BrokerConfig(data_dir=str(tmp_path / "b"))) as b:
         yield b
+
+
+@pytest.fixture
+def client(broker):
+    return InProcClient(broker)
 
 
 def test_partitioner_is_stable_crc32():
@@ -40,17 +45,17 @@ def test_produce_assigns_contiguous_offsets(broker):
     assert [o for _, o in placements] == [0, 1, 2, 3, 4]
 
 
-def test_poll_preserves_partition_order(broker):
-    broker.create_topic("t", 4)
+def test_poll_preserves_partition_order(client):
+    client.create_topic("t", 4)
     sent = {}
     for i in range(200):
         key = f"k{i % 17}"
-        p, o = broker.produce("t", key, str(i))
+        p, o = client.produce("t", key, str(i))
         sent.setdefault(p, []).append((o, str(i)))
-    broker.subscribe("g", "t")
+    client.subscribe("g", "t")
     got = {}
     while True:
-        batch = broker.poll("g", "t", max_messages=33)
+        batch = client.poll("g", "t", max_messages=33)
         if not batch:
             break
         for m in batch:
@@ -60,30 +65,30 @@ def test_poll_preserves_partition_order(broker):
         assert [o for o, _ in rows] == list(range(len(rows)))  # gap-free
 
 
-def test_commit_and_resume(broker):
-    broker.create_topic("t", 1)
+def test_commit_and_resume(broker, client):
+    client.create_topic("t", 1)
     for i in range(10):
-        broker.produce("t", "k", str(i))
-    broker.subscribe("g", "t")
-    first = broker.poll("g", "t", max_messages=4)
-    broker.commit("g", "t", {0: first[-1].offset + 1})
+        client.produce("t", "k", str(i))
+    client.subscribe("g", "t")
+    first = client.poll("g", "t", max_messages=4)
+    client.commit("g", "t", {0: first[-1].offset + 1})
     assert broker.committed("g", "t") == {0: 4}
     # a fresh session resumes exactly at the commit point
-    broker.subscribe("g", "t", "_default")
-    rest = broker.poll("g", "t", max_messages=100)
+    client.subscribe("g", "t")
+    rest = client.poll("g", "t", max_messages=100)
     assert [m.value for m in rest] == [str(i) for i in range(4, 10)]
 
 
-def test_uncommitted_messages_redelivered_on_resubscribe(broker):
-    broker.create_topic("t", 1)
+def test_uncommitted_messages_redelivered_on_resubscribe(client):
+    client.create_topic("t", 1)
     for i in range(6):
-        broker.produce("t", "k", str(i))
-    broker.subscribe("g", "t")
-    seen = broker.poll("g", "t", max_messages=100)
+        client.produce("t", "k", str(i))
+    client.subscribe("g", "t")
+    seen = client.poll("g", "t", max_messages=100)
     assert len(seen) == 6
     # consumer dies without committing; its replacement sees everything again
-    broker.subscribe("g", "t")
-    again = broker.poll("g", "t", max_messages=100)
+    client.subscribe("g", "t")
+    again = client.poll("g", "t", max_messages=100)
     assert [(m.partition, m.offset) for m in again] == \
            [(m.partition, m.offset) for m in seen]
 
@@ -92,10 +97,11 @@ def test_two_consumers_split_partitions_disjointly(broker):
     broker.create_topic("t", 4)
     for i in range(100):
         broker.produce("t", f"k{i}", str(i))
-    broker.subscribe("g", "t", "a")
-    broker.subscribe("g", "t", "b")
-    pa = {m.partition for m in broker.poll("g", "t", 1000, consumer_id="a")}
-    pb = {m.partition for m in broker.poll("g", "t", 1000, consumer_id="b")}
+    a, b = InProcClient(broker, "a"), InProcClient(broker, "b")
+    a.subscribe("g", "t")
+    b.subscribe("g", "t")
+    pa = {m.partition for m in a.poll("g", "t", 1000)}
+    pb = {m.partition for m in b.poll("g", "t", 1000)}
     assert pa and pb
     assert pa.isdisjoint(pb)
     assert pa | pb == {0, 1, 2, 3}
@@ -103,23 +109,24 @@ def test_two_consumers_split_partitions_disjointly(broker):
 
 def test_single_member_owns_everything_after_peer_leaves(broker):
     broker.create_topic("t", 4)
-    broker.subscribe("g", "t", "a")
-    broker.subscribe("g", "t", "b")
-    broker.leave("g", "t", "b")
+    a, b = InProcClient(broker, "a"), InProcClient(broker, "b")
+    a.subscribe("g", "t")
+    b.subscribe("g", "t")
+    b.leave("g", "t")
     for i in range(40):
         broker.produce("t", f"k{i}", str(i))
-    got = broker.poll("g", "t", 1000, consumer_id="a")
+    got = a.poll("g", "t", 1000)
     assert {m.partition for m in got} == {0, 1, 2, 3}
     assert len(got) == 40
 
 
-def test_groups_are_independent(broker):
-    broker.create_topic("t", 1)
-    broker.produce("t", "k", "x")
-    broker.subscribe("g1", "t")
-    broker.subscribe("g2", "t")
-    assert len(broker.poll("g1", "t", 10)) == 1
-    assert len(broker.poll("g2", "t", 10)) == 1  # both groups see the message
+def test_groups_are_independent(client):
+    client.create_topic("t", 1)
+    client.produce("t", "k", "x")
+    client.subscribe("g1", "t")
+    client.subscribe("g2", "t")
+    assert len(client.poll("g1", "t", 10)) == 1
+    assert len(client.poll("g2", "t", 10)) == 1  # both groups see the message
 
 
 def test_restart_preserves_log_and_commits(tmp_path):
@@ -128,8 +135,9 @@ def test_restart_preserves_log_and_commits(tmp_path):
         b.create_topic("t", 2)
         for i in range(20):
             b.produce("t", f"k{i}", str(i))
-        b.subscribe("g", "t")
-        batch = b.poll("g", "t", 7)
+        c = InProcClient(b)
+        c.subscribe("g", "t")
+        batch = c.poll("g", "t", 7)
         by_part = {}
         for m in batch:
             by_part[m.partition] = m.offset + 1
@@ -139,8 +147,9 @@ def test_restart_preserves_log_and_commits(tmp_path):
     with Broker(BrokerConfig(data_dir=data)) as b:
         assert b.topics() == {"t": 2}
         assert b.committed("g", "t") == committed_before
-        b.subscribe("g", "t")
-        rest = b.poll("g", "t", 100)
+        c = InProcClient(b)
+        c.subscribe("g", "t")
+        rest = c.poll("g", "t", 100)
         total = sum(committed_before.values()) + len(rest)
         assert total == 20
 
@@ -158,9 +167,79 @@ def test_torn_tail_truncated_on_recovery(tmp_path):
         assert b.partition_length("t", 0) == 5
         p, o = b.produce("t", "k", "5")
         assert o == 5
-        b.subscribe("g", "t")
-        vals = [m.value for m in b.poll("g", "t", 100)]
+        c = InProcClient(b)
+        c.subscribe("g", "t")
+        vals = [m.value for m in c.poll("g", "t", 100)]
         assert vals == ["0", "1", "2", "3", "4", "5"]
+
+
+def test_commit_past_recovered_log_is_clamped(tmp_path):
+    # commits are fsynced, appends may not be: an OS crash can leave
+    # offsets.json naming an offset the recovered log does not reach
+    data = str(tmp_path / "b")
+    with Broker(BrokerConfig(data_dir=data)) as b:
+        b.create_topic("t", 1)
+        for i in range(6):
+            b.produce("t", "k", str(i))
+        b.commit("g", "t", {0: 6})
+    log_path = os.path.join(data, "t-0.log")
+    with open(log_path) as fh:
+        lines = fh.readlines()
+    with open(log_path, "w") as fh:
+        fh.writelines(lines[:4])
+    with Broker(BrokerConfig(data_dir=data)) as b:
+        assert b.committed("g", "t") == {0: 4}
+        assert b.produce("t", "k", "new") == (0, 4)
+        c = InProcClient(b)
+        c.subscribe("g", "t")
+        assert [(m.offset, m.value) for m in c.poll("g", "t", 10)] == [(4, "new")]
+
+
+def test_fetch_starts_where_the_caller_says(broker):
+    broker.create_topic("t", 2)
+    for i in range(10):
+        broker.produce("t", f"k{i}", str(i))
+    sizes = [broker.partition_length("t", p) for p in (0, 1)]
+    broker.commit("g", "t", {0: 1})
+    msgs, assigned = broker.fetch("g", "t", {1: 2}, 100)
+    assert assigned == [0, 1]
+    got = {}
+    for m in msgs:
+        got.setdefault(m.partition, []).append(m.offset)
+    assert got[0] == list(range(1, sizes[0]))  # committed offset
+    assert got.get(1, []) == list(range(2, sizes[1]))  # caller's position
+    # the broker keeps nothing: the same fetch returns the same rows
+    assert broker.fetch("g", "t", {1: 2}, 100) == (msgs, assigned)
+    with pytest.raises(OffsetOutOfRangeError):
+        broker.fetch("g", "t", {0: sizes[0] + 1}, 100)
+
+
+def test_capped_polls_take_turns_across_partitions(client):
+    client.create_topic("t", 3)
+    for i in range(300):
+        client.produce("t", f"k{i}", str(i))
+    client.subscribe("g", "t")
+    order = [client.poll("g", "t", max_messages=1)[0].partition for _ in range(9)]
+    assert set(order[:3]) == set(order[3:6]) == set(order[6:]) == {0, 1, 2}
+
+
+def test_rebalance_keeps_positions_in_owned_partitions(broker):
+    broker.create_topic("t", 2)
+    for i in range(40):
+        broker.produce("t", f"k{i}", str(i))
+    a, b = InProcClient(broker, "a"), InProcClient(broker, "b")
+    a.subscribe("g", "t")
+    first = a.poll("g", "t", 1000)
+    assert {m.partition for m in first} == {0, 1}
+    b.subscribe("g", "t")  # takes partition 1; nothing was committed
+    assert a.poll("g", "t", 1000) == []  # a keeps its position in 0
+    got = b.poll("g", "t", 1000)
+    assert {m.partition for m in got} == {1}
+    assert got[0].offset == 0  # a moved partition starts at its commit
+    b.leave("g", "t")
+    back = a.poll("g", "t", 1000)  # partition 1 returns, from its commit
+    assert {m.partition for m in back} == {1}
+    assert back[0].offset == 0
 
 
 def test_backpressure_blocks_then_times_out(tmp_path):
@@ -173,8 +252,9 @@ def test_backpressure_blocks_then_times_out(tmp_path):
         with pytest.raises(BackpressureTimeoutError):
             b.produce("t", "k", "overflow")
         # consuming frees space for a blocked producer
-        b.subscribe("g", "t")
-        got = b.poll("g", "t", 2)
+        c = InProcClient(b)
+        c.subscribe("g", "t")
+        got = c.poll("g", "t", 2)
         unblocked = []
 
         def producer():
@@ -193,11 +273,12 @@ def test_backpressure_ignores_groups_on_other_topics(tmp_path):
     with Broker(config) as b:
         b.create_topic("a", 1)
         b.create_topic("b", 1)
-        b.subscribe("gb", "b")  # never touches topic a
-        b.subscribe("ga", "a")
+        c = InProcClient(b)
+        c.subscribe("gb", "b")  # never touches topic a
+        c.subscribe("ga", "a")
         for i in range(12):  # well past the backlog, "ga" keeping up
             b.produce("a", "k", str(i))
-            got = b.poll("ga", "a", 10)
+            got = c.poll("ga", "a", 10)
             b.commit("ga", "a", {0: got[-1].offset + 1})
         assert b.partition_length("a", 0) == 12
         # a group that lags on its own topic still holds producers back
@@ -207,24 +288,24 @@ def test_backpressure_ignores_groups_on_other_topics(tmp_path):
             b.produce("b", "k", "overflow")
 
 
-def test_poll_blocks_until_data_arrives(broker):
+def test_poll_blocks_until_data_arrives(broker, client):
     broker.create_topic("t", 1)
-    broker.subscribe("g", "t")
+    client.subscribe("g", "t")
 
     def later():
         broker.produce("t", "k", "ping")
 
     th = threading.Timer(0.05, later)
     th.start()
-    got = broker.poll("g", "t", 10, timeout_ms=2000.0)
+    got = client.poll("g", "t", 10, timeout_ms=2000.0)
     th.join()
     assert [m.value for m in got] == ["ping"]
 
 
-def test_poll_timeout_returns_empty(broker):
-    broker.create_topic("t", 1)
-    broker.subscribe("g", "t")
-    assert broker.poll("g", "t", 10, timeout_ms=30.0) == []
+def test_poll_timeout_returns_empty(client):
+    client.create_topic("t", 1)
+    client.subscribe("g", "t")
+    assert client.poll("g", "t", 10, timeout_ms=30.0) == []
 
 
 def test_error_conditions(broker, tmp_path):
@@ -238,7 +319,7 @@ def test_error_conditions(broker, tmp_path):
     with pytest.raises(UnknownTopicError):
         broker.produce("ghost", "k", "v")
     with pytest.raises(UnknownTopicError):
-        broker.poll("g", "ghost")
+        broker.fetch("g", "ghost", {})
     broker.produce("t", "k", "v")
     with pytest.raises(OffsetOutOfRangeError):
         broker.commit("g", "t", {0: 2})

@@ -1,12 +1,16 @@
 """Wire protocol framing and TCP/in-process transport equivalence."""
 
+import json
 import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maliot.broker import Broker, BrokerConfig, BrokerServer, InProcClient, TcpClient
+from maliot.broker import protocol
 from maliot.broker.protocol import (
     MAX_FRAME,
     OP_ACK,
@@ -16,6 +20,7 @@ from maliot.broker.protocol import (
     OP_POLL,
     OP_PRODUCE,
     ProtocolError,
+    encode_ack,
     encode_frame,
     read_frame,
 )
@@ -201,3 +206,191 @@ def test_unreachable_broker_raises(served):
                        retry_delay_s=0.01)
     with pytest.raises(BrokerUnreachableError):
         client.produce("t", "k", "v")
+
+
+def test_server_keeps_only_live_connection_threads(served):
+    broker, server = served
+    broker.create_topic("t", 1)
+    for i in range(50):
+        with TcpClient(server.host, server.port) as c:
+            c.produce("t", "k", str(i))
+    with TcpClient(server.host, server.port) as c:  # one more accept prunes
+        c.produce("t", "k", "last")
+        assert len(server._threads) <= 10
+
+
+# -- delivery over a lossy or capped wire -------------------------------------
+
+def _recv_exactly(sock, n: int) -> bytes:
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            raise ConnectionError("peer closed")
+        buf += chunk
+    return buf
+
+
+def _recv_frame_bytes(sock) -> bytes:
+    head = _recv_exactly(sock, 4)
+    return head + _recv_exactly(sock, struct.unpack(">I", head)[0])
+
+
+class DroppingProxy:
+    """Frame-level relay in front of a broker that can lose one reply.
+
+    After ``drop_next_reply()``, the next request still reaches the broker
+    and is handled, but the proxy closes the client's connection instead
+    of relaying the reply.  ``upstream`` may be repointed after a broker
+    restart.
+    """
+
+    def __init__(self, upstream_port: int):
+        self.upstream = upstream_port
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._drop = threading.Event()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def drop_next_reply(self) -> None:
+        self._drop.set()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._relay, args=(conn,), daemon=True).start()
+
+    def _relay(self, conn) -> None:
+        try:
+            with conn, socket.create_connection(("127.0.0.1", self.upstream)) as up:
+                while True:
+                    up.sendall(_recv_frame_bytes(conn))
+                    reply = _recv_frame_bytes(up)
+                    if self._drop.is_set():
+                        self._drop.clear()
+                        return
+                    conn.sendall(reply)
+        except OSError:
+            return
+
+    def close(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept thread
+        self._listener.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def test_poll_retried_after_a_dropped_reply_returns_the_same_rows(served):
+    broker, server = served
+    with DroppingProxy(server.port) as proxy, \
+            TcpClient("127.0.0.1", proxy.port) as c:
+        c.create_topic("t", 2)
+        for i in range(30):
+            c.produce("t", f"k{i}", str(i))
+        c.subscribe("ref", "t")
+        c.poll("ref", "t", 10)
+        want = c.poll("ref", "t", 10)
+
+        c.subscribe("g", "t")
+        c.poll("g", "t", 10)
+        proxy.drop_next_reply()
+        with pytest.raises(BrokerUnreachableError):
+            c.poll("g", "t", 10)  # handled by the broker, reply lost
+        assert c.poll("g", "t", 10) == want
+
+
+def test_oversized_reply_is_cut_and_the_poll_is_repeatable(served, monkeypatch):
+    broker, server = served
+    monkeypatch.setattr(protocol, "MAX_FRAME", 64 * 1024)
+    broker.create_topic("t", 1)
+    for i in range(2000):
+        broker.produce("t", "k", f"{i:06d}" + "x" * 144)  # 150 B rows
+    with TcpClient(server.host, server.port) as c:
+        c.subscribe("g", "t")
+        first = c.poll("g", "t", max_messages=2000)
+        assert 0 < len(first) < 2000
+        assert [m.offset for m in first] == list(range(len(first)))
+        with TcpClient(server.host, server.port) as again:
+            again.subscribe("g", "t")  # a restarted consumer retries the poll
+            assert again.poll("g", "t", max_messages=2000) == first
+        got = list(first)
+        while batch := c.poll("g", "t", max_messages=2000):
+            got.extend(batch)
+        assert [m.offset for m in got] == list(range(2000))
+
+
+def test_message_too_big_for_a_frame_gets_err_and_the_connection_lives(
+        served, monkeypatch):
+    broker, server = served
+    monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+    broker.create_topic("t", 1)
+    broker.produce("t", "k", "x" * 2000)
+    with TcpClient(server.host, server.port) as c:
+        c.subscribe("g", "t")
+        sock = c._sock
+        with pytest.raises(ProtocolError):
+            c.poll("g", "t", 10)
+        assert c.produce("t", "k", "small") == (0, 1)
+        assert c._sock is sock
+
+
+_MESSAGE = st.builds(
+    lambda p, o, key, value: {"topic": "t", "partition": p, "offset": o,
+                              "key": key, "value": value},
+    st.integers(0, 8), st.integers(0, 10**12), st.text(max_size=8),
+    st.text(max_size=120),  # any code point: control, non-BMP, surrogates
+)
+
+
+def _frame_len(messages, assigned) -> int:
+    body = {"messages": messages, "assigned": assigned}
+    return 1 + len(json.dumps(body, separators=(",", ":")).encode())
+
+
+@given(cap=st.integers(64, 3000), messages=st.lists(_MESSAGE, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_fetch_reply_fits_the_frame_cap(cap, messages):
+    assigned = [0, 1]
+    longest = max(n for n in range(len(messages) + 1)
+                  if n == 0 or _frame_len(messages[:n], assigned) <= cap)
+    old = protocol.MAX_FRAME
+    protocol.MAX_FRAME = cap
+    try:
+        try:
+            frame = encode_ack({"messages": messages, "assigned": assigned})
+        except ProtocolError:
+            # only when the first message cannot fit on its own
+            assert messages and longest == 0
+            return
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame)
+            opcode, body = read_frame(b)
+        finally:
+            a.close()
+            b.close()
+    finally:
+        protocol.MAX_FRAME = old
+    assert opcode == OP_ACK
+    assert len(frame) - 4 <= cap
+    n = len(body["messages"])
+    assert body == {"messages": messages[:n], "assigned": assigned}
+    assert n == len(messages) or 2 * n >= longest  # about half of what fits, or more
+
+
+def test_backfill_sized_reply_fits_one_frame():
+    row = ("1600000000.25,10.0.0.10,49152,93.184.216.34,443,tcp,ssl,1.5,512,"
+           "2048,SF,0,10,900,12,2500,benign,dev-0")
+    messages = [{"topic": "flows", "partition": i % 3, "offset": i,
+                 "key": "dev-0", "value": row + "x" * 80} for i in range(10_000)]
+    frame = encode_ack({"messages": messages, "assigned": [0, 1, 2]})
+    assert len(frame) > 1_900_000
+    (length,) = struct.unpack(">I", frame[:4])
+    assert length == len(frame) - 4 <= MAX_FRAME

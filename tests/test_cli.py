@@ -112,6 +112,16 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("line, key", [("gen.devices = many", "gen.devices"),
+                                       ("seed = x", "seed")])
+def test_bad_number_in_config_file_exits_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(["--config", str(cfg), "gen", "--out", "-"], capsys)
+    assert code == EXIT_USAGE
+    assert key in err
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_deterministic_files(tmp_path, capsys):
@@ -182,6 +192,34 @@ def test_train_deid_alias(tmp_path, capsys):
                         "--out", str(tmp_path / "g.json")], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["feature_set"] == "de_identified"
+
+
+def test_train_and_retrain_write_codec_before_model(tmp_path, capsys,
+                                                   monkeypatch):
+    # serve --watch-model reacts to the model file, so it must come last
+    from maliot import models
+    from maliot.features import FeatureCodec
+    from maliot.flows import write_records
+    from maliot.sim import SimConfig, generate
+
+    written = []
+    save_model, save_codec = models.save_model, FeatureCodec.save
+    monkeypatch.setattr(models, "save_model", lambda m, path: (
+        written.append(os.path.basename(path)), save_model(m, path)))
+    monkeypatch.setattr(FeatureCodec, "save", lambda self, path: (
+        written.append(os.path.basename(path)), save_codec(self, path)))
+    persist = tmp_path / "persist"
+    persist.mkdir()
+    write_records(generate(SimConfig(n_devices=4, duration_s=2.0, seed=3)),
+                  persist / "flows-0-2024010100.csv")
+    code, _, _ = run(["train", "--model", "gaussian_nb", "--data",
+                      str(persist / "flows-0-2024010100.csv"),
+                      "--out", str(tmp_path / "m.json")], capsys)
+    assert code == EXIT_OK
+    code, _, _ = run(["retrain", "--persist-dir", str(persist), "--model",
+                      "gaussian_nb", "--out", str(tmp_path / "m.json")], capsys)
+    assert code == EXIT_OK
+    assert written == ["m.codec.json", "m.json"] * 2
 
 
 # -- full pipeline over TCP ---------------------------------------------------

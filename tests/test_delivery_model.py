@@ -1,0 +1,203 @@
+"""Model-based check of at-least-once delivery over both clients.
+
+A Hypothesis state machine drives a real broker, its TCP server and both
+client kinds through produces, polls, commits, consumer crashes, replies
+lost on the wire, replies cut by the frame cap and broker restarts.  Every
+step is checked against a plain-dict model: the log per partition, and per
+group its committed offsets and its session's read positions.  Group "h"
+consumes another topic beside group "g"; since each group's rows are
+checked against its own topic's model alone, a group on another topic can
+never change what a group receives.
+"""
+
+import shutil
+import tempfile
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from maliot.broker import (
+    Broker,
+    BrokerServer,
+    InProcClient,
+    TcpClient,
+    partition_for_key,
+)
+from maliot.broker import protocol
+from maliot.errors import BrokerUnreachableError
+
+from test_broker_tcp import DroppingProxy
+
+TOPICS = {"t": 3, "u": 2}
+GROUPS = {"g": "t", "h": "u"}
+TRANSPORTS = ("inproc", "tcp")
+KEYS = [f"dev-{i}" for i in range(6)]
+# Values are at most 30 code points, so any one message fits in this cap.
+SMALL_FRAME = 512
+
+groups = st.sampled_from(sorted(GROUPS))
+
+
+class DeliveryMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.data_dir = tempfile.mkdtemp(prefix="maliot-model-")
+        self.broker = Broker(self.data_dir)
+        for topic, n in TOPICS.items():
+            self.broker.create_topic(topic, n)
+        self.server = BrokerServer(self.broker, port=0)
+        self.server.start()
+        self.proxy = DroppingProxy(self.server.port)
+        self.clients = {}
+        self.log = {t: [[] for _ in range(n)] for t, n in TOPICS.items()}
+        self.committed = {g: {} for g in GROUPS}
+        self.position = {g: {} for g in GROUPS}  # the session's next offsets
+        self.delivered = {g: set() for g in GROUPS}
+
+    # -- sessions -------------------------------------------------------
+
+    def _start_session(self, group, transport):
+        old = self.clients.get(group)
+        if old is not None:
+            old.close()
+        if transport == "tcp":
+            client = TcpClient("127.0.0.1", self.proxy.port)
+        else:
+            client = InProcClient(self.broker)
+        client.subscribe(group, GROUPS[group])
+        self.clients[group] = client
+        self.position[group] = dict(self.committed[group])
+
+    @initialize(transports=st.tuples(*(st.sampled_from(TRANSPORTS)
+                                       for _ in GROUPS)))
+    def connect(self, transports):
+        for group, transport in zip(sorted(GROUPS), transports):
+            self._start_session(group, transport)
+
+    def _poll_and_check(self, group, max_messages):
+        topic = GROUPS[group]
+        msgs = self.clients[group].poll(group, topic, max_messages)
+        assert len(msgs) <= max_messages
+        unread = any(self.position[group].get(p, 0) < len(rows)
+                     for p, rows in enumerate(self.log[topic]))
+        assert bool(msgs) == unread
+        for m in msgs:
+            assert m.topic == topic
+            # each partition continues exactly at the session's position
+            assert m.offset == self.position[group].get(m.partition, 0)
+            assert m.value == self.log[topic][m.partition][m.offset]
+            self.position[group][m.partition] = m.offset + 1
+            self.delivered[group].add((m.partition, m.offset))
+        return msgs
+
+    # -- rules ----------------------------------------------------------
+
+    @rule(group=groups, rows=st.lists(
+        st.tuples(st.sampled_from(KEYS), st.text(max_size=30)), max_size=8))
+    def produce(self, group, rows):
+        topic = GROUPS[group]
+        for key, value in rows:
+            p, o = self.clients[group].produce(topic, key, value)
+            assert p == partition_for_key(key, TOPICS[topic])
+            assert o == len(self.log[topic][p])
+            self.log[topic][p].append(value)
+
+    @rule(group=groups, max_messages=st.integers(1, 20))
+    def poll(self, group, max_messages):
+        self._poll_and_check(group, max_messages)
+
+    @rule(group=groups)
+    def poll_under_a_small_frame_cap(self, group):
+        old = protocol.MAX_FRAME
+        protocol.MAX_FRAME = SMALL_FRAME
+        try:
+            self._poll_and_check(group, 1000)
+        finally:
+            protocol.MAX_FRAME = old
+
+    @rule(group=groups)
+    def commit(self, group):
+        topic = GROUPS[group]
+        self.clients[group].commit(group, topic, self.position[group])
+        self.committed[group].update(self.position[group])
+        assert self.broker.committed(group, topic) == self.committed[group]
+
+    @rule(group=groups, transport=st.sampled_from(TRANSPORTS + ("same",)))
+    def consumer_crashes_before_commit(self, group, transport):
+        if transport == "same":
+            self.clients[group].subscribe(group, GROUPS[group])
+            self.position[group] = dict(self.committed[group])
+        else:
+            self._start_session(group, transport)
+
+    @precondition(lambda self: any(isinstance(c, TcpClient)
+                                   for c in self.clients.values()))
+    @rule(data=st.data())
+    def reply_lost_after_the_broker_handled_the_poll(self, data):
+        tcp = sorted(g for g, c in self.clients.items() if isinstance(c, TcpClient))
+        group = data.draw(st.sampled_from(tcp))
+        self.proxy.drop_next_reply()
+        try:
+            self.clients[group].poll(group, GROUPS[group], 20)
+        except BrokerUnreachableError:
+            pass
+        else:
+            raise AssertionError("the proxy relayed a reply it should drop")
+
+    @rule()
+    def broker_restarts(self):
+        for client in self.clients.values():
+            if isinstance(client, TcpClient):
+                client.close()  # keeps its positions; reconnects on next call
+        self.server.close()
+        self.broker.close()
+        self.broker = Broker(self.data_dir)
+        self.server = BrokerServer(self.broker, port=0)
+        self.server.start()
+        self.proxy.upstream = self.server.port
+        for client in self.clients.values():
+            if isinstance(client, InProcClient):
+                client.broker = self.broker
+        for group, topic in GROUPS.items():
+            assert self.broker.committed(group, topic) == self.committed[group]
+            for p, rows in enumerate(self.log[topic]):
+                assert self.broker.partition_length(topic, p) == len(rows)
+
+    # -- invariants -----------------------------------------------------
+
+    @invariant()
+    def commits_never_pass_the_high_water_mark(self):
+        for group, topic in GROUPS.items():
+            for p, off in self.broker.committed(group, topic).items():
+                assert off <= self.broker.partition_length(topic, p)
+
+    def teardown(self):
+        try:
+            if self.clients:
+                for group, topic in GROUPS.items():
+                    while self._poll_and_check(group, 50):
+                        pass
+                    produced = {(p, o) for p, rows in enumerate(self.log[topic])
+                                for o in range(len(rows))}
+                    assert produced <= self.delivered[group]
+        finally:
+            for client in self.clients.values():
+                client.close()
+            self.proxy.close()
+            self.server.close()
+            self.broker.close()
+            shutil.rmtree(self.data_dir, ignore_errors=True)
+
+
+DeliveryMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None,
+    report_multiple_bugs=False, suppress_health_check=[HealthCheck.too_slow],
+)
+test_delivery_matches_the_model = DeliveryMachine.TestCase

@@ -123,6 +123,31 @@ def test_malformed_rows_skipped_and_committed(tmp_path, small_corpus):
     broker.close()
 
 
+def test_poison_timestamp_counts_as_parse_error_and_commits(
+        tmp_path, small_corpus):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 1)
+    good = small_corpus[:20]
+    poison = format_row(good[0]).replace(repr(float(good[0].ts)), "1e300", 1)
+    for r in good[:10]:
+        broker.produce("flows", r.device_id, format_row(r))
+    broker.produce("flows", good[0].device_id, poison)
+    for r in good[10:]:
+        broker.produce("flows", r.device_id, format_row(r))
+    model_path = _trained_model(small_corpus, tmp_path)
+    persist = str(tmp_path / "persist")
+    engine = _engine(broker, model_path, tmp_path, persist_dir=persist)
+    engine.run(idle_limit=2)
+    engine.close()
+    assert engine.metrics.verdicts == 20
+    assert engine.metrics.parse_errors == 1
+    assert broker.committed("engine", "flows") == {0: 21}
+    kept = [r for f in os.listdir(persist)
+            for r in read_dataset(os.path.join(persist, f), "maliot_csv")[0]]
+    assert len(kept) == 20
+    broker.close()
+
+
 def test_crash_before_commit_redelivers(stack, tmp_path, small_corpus):
     broker, model_path = stack
 

@@ -143,6 +143,24 @@ def test_bad_rows_raise_parse_error(mutate):
         parse_record(mutate(row), "maliot_csv")
 
 
+@pytest.mark.parametrize("ts, ok", [
+    ("-62135596800.0", True),    # 0001-01-01T00:00:00Z
+    ("-62135596800.5", False),
+    ("253402300799.9", True),    # the last moment of 9999
+    ("253402300800.0", False),
+    ("1e300", False),
+    ("-1e300", False),
+])
+def test_timestamp_must_fall_in_years_1_to_9999(ts, ok):
+    row = format_row(make_record()).replace("1600000000.25", ts)
+    if ok:
+        assert parse_record(row, "maliot_csv").ts == float(ts)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_record(row, "maliot_csv")
+        assert err.value.reason == "bad_numeric"
+
+
 def test_reader_skips_and_counts_bad_rows(tmp_path):
     good = format_row(make_record())
     bad = good.replace("1.5", "soon")

@@ -156,10 +156,11 @@ def test_replay_produces_everything(tmp_path):
         total = sum(broker.partition_length("flows", p) for p in range(3))
         assert total == len(records)
         # key affinity: every device lands on exactly one partition
-        broker.subscribe("g", "flows")
+        client = InProcClient(broker)
+        client.subscribe("g", "flows")
         seen = {}
         while True:
-            batch = broker.poll("g", "flows", 1000)
+            batch = client.poll("g", "flows", 1000)
             if not batch:
                 break
             for m in batch:
