@@ -22,11 +22,13 @@ from ..errors import (
     BackpressureTimeoutError,
     BadConfigError,
     BadPartitionCountError,
+    MessageTooLargeError,
     OffsetOutOfRangeError,
     TopicExistsError,
     UnknownTopicError,
 )
 from ..hashing import stable_hash32
+from . import protocol
 
 _TOPIC_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 
@@ -245,6 +247,11 @@ class Broker:
                 self._space_freed.wait(remaining)
                 self._parts(topic)  # re-raise if topic vanished
             part = parts[partition]
+            msg = Message(topic, partition, len(part.rows), key, value)
+            if not protocol.fits_a_poll_reply(msg, len(parts)):
+                # it could never be fetched over TCP, and would wedge the partition
+                raise MessageTooLargeError(f"{topic}[{partition}] message of "
+                                           f"{len(value)} chars fits no POLL reply")
             offset = part.append(key, value, self.config.fsync == "every_message")
             if self.config.fsync == "interval":
                 part.maybe_sync(self.config.fsync_interval_ms / 1000.0)

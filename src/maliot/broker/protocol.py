@@ -56,6 +56,33 @@ def encode_ack(body: dict) -> bytes:
         body = {**body, "messages": messages[:len(messages) // 2]}
 
 
+def poll_reply(messages, assigned: list[int]) -> dict:
+    """A POLL ACK body: the messages, then the consumer's partitions."""
+    return {
+        "messages": [
+            {"topic": m.topic, "partition": m.partition,
+             "offset": m.offset, "key": m.key, "value": m.value}
+            for m in messages
+        ],
+        "assigned": assigned,
+    }
+
+
+def fits_a_poll_reply(message, partitions: int) -> bool:
+    """Whether a POLL reply carrying only ``message`` fits MAX_FRAME.
+
+    The reply is sized for a consumer that owns all ``partitions``.  JSON
+    escapes a char to at most 12 bytes (a non-BMP one as two \\uXXXX), and
+    the rest of the reply takes under 128 bytes plus 64 per partition, so
+    only a message near the cap pays for an exact encode.
+    """
+    chars = len(message.topic) + len(message.key) + len(message.value)
+    if 12 * chars + 128 + 64 * partitions <= MAX_FRAME:
+        return True
+    body = poll_reply([message], list(range(partitions)))
+    return 1 + len(_json(body)) <= MAX_FRAME
+
+
 def _read_exact(sock, n: int) -> bytes:
     chunks = []
     while n > 0:

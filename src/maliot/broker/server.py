@@ -17,6 +17,7 @@ from .protocol import (
     ProtocolError,
     encode_ack,
     encode_frame,
+    poll_reply,
     read_frame,
 )
 
@@ -37,6 +38,7 @@ class BrokerServer:
         self.host, self.port = self._sock.getsockname()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
+        self._conns: set[socket.socket] = set()  # open; close() shuts them down
         self._accept_thread: threading.Thread | None = None
 
     def start(self) -> None:
@@ -55,6 +57,7 @@ class BrokerServer:
                 conn, addr = self._sock.accept()
             except OSError:
                 break  # listening socket closed
+            self._conns.add(conn)
             t = threading.Thread(
                 target=self._serve_connection, args=(conn, addr), daemon=True
             )
@@ -64,7 +67,7 @@ class BrokerServer:
             self._threads.append(t)
 
     def _serve_connection(self, conn: socket.socket, addr) -> None:
-        with conn:
+        try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._stop.is_set():
                 try:
@@ -87,6 +90,9 @@ class BrokerServer:
                     conn.sendall(frame)
                 except OSError:
                     return
+        finally:
+            self._conns.discard(conn)
+            conn.close()
 
     def _send_err(self, conn, exc: Exception) -> None:
         body = {"error": type(exc).__name__, "message": str(exc)}
@@ -119,14 +125,7 @@ class BrokerServer:
                 group, topic, positions, int(body.get("max_messages", 100)),
                 float(body.get("timeout_ms", 0.0)), consumer,
             )
-            return {
-                "messages": [
-                    {"topic": m.topic, "partition": m.partition,
-                     "offset": m.offset, "key": m.key, "value": m.value}
-                    for m in msgs
-                ],
-                "assigned": assigned,
-            }
+            return poll_reply(msgs, assigned)
         if opcode == OP_COMMIT:
             offsets = {int(p): int(o) for p, o in body["offsets"].items()}
             self.broker.commit(body["group"], body["topic"], offsets)
@@ -140,6 +139,13 @@ class BrokerServer:
         except OSError:
             pass
         self._sock.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=1.0)
+        for conn in list(self._conns):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked read_frame
+            except OSError:
+                pass  # its thread closed it meanwhile
         for t in self._threads:
             t.join(timeout=1.0)
 

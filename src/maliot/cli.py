@@ -14,7 +14,6 @@ import os
 import signal
 import sys
 import threading
-import time
 
 from . import bench as bench_mod
 from . import models, sim
@@ -282,10 +281,12 @@ def cmd_serve(s: Settings, seed: int) -> int:
         persist_dir=s.get("persist-dir", ""),
         sink=s.get("sink", "jsonl_file"),
         sink_path=s.get("sink-path", "verdicts.jsonl"),
-        sink_addr=s.get("sink-addr", ""),
         batch_interval_ms=s.get("batch-interval-ms", 1000.0, float),
         max_batch_rows=s.get("max-batch-rows", 10000, int),
     )
+    max_cycles = s.get("max-cycles", None, int)
+    idle_limit = s.get("idle-limit", None, int)
+    watch = s.get("watch-model", False, bool)
     stop = threading.Event()
     try:
         signal.signal(signal.SIGINT, lambda *_: stop.set())
@@ -294,36 +295,11 @@ def cmd_serve(s: Settings, seed: int) -> int:
         pass  # not the main thread (tests drive this in workers)
     client = TcpClient(host, port, consumer_id=s.get("consumer-id", "_default"))
     engine = StreamEngine(client, config)
-    watch = s.get("watch-model", False, bool)
-    max_cycles = s.get("max-cycles", None, int)
-    idle_limit = s.get("idle-limit", None, int)
-    mtime = os.path.getmtime(model_path) if watch else 0.0
     log.info("serving %s v%d (%s/%s) from %s:%d",
              engine.model.kind, engine.model.version,
              config.topic, config.group, host, port)
-    cycles = 0
-    idle = 0
     try:
-        while not stop.is_set():
-            if max_cycles is not None and cycles >= max_cycles:
-                break
-            if watch:
-                try:
-                    now_mtime = os.path.getmtime(model_path)
-                    if now_mtime != mtime:
-                        mtime = now_mtime
-                        ack = engine.hot_swap_model(model_path, config.codec_path)
-                        log.info("hot swap: v%s -> v%s",
-                                 ack["old_version"], ack["new_version"])
-                except MaliotError as exc:
-                    log.warning("hot swap rejected: %s", exc)
-                except OSError:
-                    pass
-            n = engine.run_cycle()
-            cycles += 1
-            idle = idle + 1 if n == 0 else 0
-            if idle_limit is not None and idle >= idle_limit:
-                break
+        engine.run(max_cycles, idle_limit, stop.is_set, watch)
     finally:
         engine.close()
         client.close()
@@ -502,12 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="member id within the group (default: _default)")
     p.add_argument("--persist-dir", default=None,
                    help="directory for raw-row retention (default: off)")
-    p.add_argument("--sink", default=None, choices=["jsonl_file", "stdout", "tcp"],
+    p.add_argument("--sink", default=None, choices=["jsonl_file", "stdout"],
                    help="verdict sink (default: jsonl_file)")
     p.add_argument("--sink-path", default=None,
                    help="verdict file for jsonl_file (default: verdicts.jsonl)")
-    p.add_argument("--sink-addr", default=None, metavar="HOST:PORT",
-                   help="downstream address for the tcp sink")
     p.add_argument("--batch-interval-ms", type=float, default=None,
                    help="micro-batch window (default: 1000)")
     p.add_argument("--max-batch-rows", type=int, default=None,

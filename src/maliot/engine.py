@@ -3,7 +3,8 @@
 The commit is always last, after verdicts are out and raw rows are flushed
 to disk, so a crash anywhere in the cycle replays the batch rather than
 losing it.  Verdicts carry (partition, offset) precisely so downstream
-consumers can deduplicate those replays.
+consumers can deduplicate those replays.  ``StreamEngine.run`` is the one
+cycle loop; it also watches the model file for hot swaps when asked.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import socket
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,6 +23,7 @@ from .errors import (
     BadConfigError,
     CodecMismatchError,
     EmptyDatasetError,
+    MaliotError,
     ModelLoadError,
     ParseError,
     VersionRegressionError,
@@ -32,7 +33,7 @@ from .flows import MALIOT_CSV_HEADER, format_row, parse_record, read_dataset
 
 log = logging.getLogger(__name__)
 
-SINKS = ("jsonl_file", "stdout", "tcp")
+SINKS = ("jsonl_file", "stdout")
 
 
 def codec_path_for(model_path: str) -> str:
@@ -51,7 +52,6 @@ class EngineConfig:
     persist_dir: str = ""  # empty = persistence off
     sink: str = "jsonl_file"
     sink_path: str = "verdicts.jsonl"
-    sink_addr: str = ""  # host:port when sink == "tcp"
     batch_interval_ms: float = 1000.0
     max_batch_rows: int = 10000
 
@@ -83,22 +83,15 @@ class EngineMetrics:
     batch_stats: list = field(default_factory=list)
     latencies_us: list = field(default_factory=list)
 
-    def mean_latency_us(self) -> float:
-        return float(np.mean(self.latencies_us)) if self.latencies_us else 0.0
-
-    def p95_latency_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        return float(np.percentile(self.latencies_us, 95))
-
     def summary(self) -> dict:
+        lat = self.latencies_us
         return {
             "rows": self.rows,
             "verdicts": self.verdicts,
             "parse_errors": self.parse_errors,
             "batches": self.batches,
-            "mean_latency_us": self.mean_latency_us(),
-            "p95_latency_us": self.p95_latency_us(),
+            "mean_latency_us": float(np.mean(lat)) if lat else 0.0,
+            "p95_latency_us": float(np.percentile(lat, 95)) if lat else 0.0,
         }
 
 
@@ -131,36 +124,11 @@ class StdoutSink:
         pass
 
 
-class TcpSink:
-    """Line-delimited JSON pushed to one downstream socket."""
-
-    def __init__(self, addr: str):
-        host, _, port = addr.rpartition(":")
-        if not host or not port.isdigit():
-            raise BadConfigError(f"sink_addr {addr!r}, want host:port")
-        self._sock = socket.create_connection((host, int(port)), timeout=10.0)
-
-    def emit(self, verdicts: list[Verdict]) -> None:
-        payload = "".join(v.to_json() + "\n" for v in verdicts)
-        self._sock.sendall(payload.encode("utf-8"))
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
 def make_sink(config: EngineConfig):
     if config.sink == "jsonl_file":
         return JsonlFileSink(config.sink_path)
     if config.sink == "stdout":
         return StdoutSink()
-    if config.sink == "tcp":
-        return TcpSink(config.sink_addr)
     raise BadConfigError(f"sink {config.sink!r}, want one of {SINKS}")
 
 
@@ -195,6 +163,13 @@ class _Persister:
         for fh in self._files.values():
             fh.close()
         self._files.clear()
+
+
+def _mtime(path: str) -> float | None:
+    try:
+        return os.path.getmtime(path)
+    except OSError:
+        return None
 
 
 def load_model_and_codec(model_path: str, codec_path: str = "") -> tuple:
@@ -255,7 +230,8 @@ class StreamEngine:
             # different codec: acceptable only if it encodes the same regime
             if new_codec.feature_set != self.config.feature_set:
                 raise CodecMismatchError(
-                    f"swap codec feature_set {new_codec.feature_set!r}"
+                    f"v{new_model.version} codec feature_set "
+                    f"{new_codec.feature_set!r}"
                 )
         if new_model.version <= self.model.version:
             raise VersionRegressionError(
@@ -359,25 +335,41 @@ class StreamEngine:
         return len(batch)
 
     def run(self, max_cycles: int | None = None, idle_limit: int | None = None,
-            should_stop=None) -> EngineMetrics:
+            should_stop=None, watch_model: bool = False) -> EngineMetrics:
         """Loop run_cycle until told to stop.
 
         ``idle_limit`` consecutive empty cycles end the run (handy for
         drain-and-exit jobs); ``should_stop`` is checked between cycles.
+        With ``watch_model``, a new mtime on ``config.model_path`` before a
+        cycle stages a hot swap of that file.
         """
+        seen = _mtime(self.config.model_path)
         cycles = 0
         idle = 0
-        while True:
-            if should_stop is not None and should_stop():
-                break
+        while should_stop is None or not should_stop():
             if max_cycles is not None and cycles >= max_cycles:
                 break
+            if watch_model:
+                now = _mtime(self.config.model_path)
+                if now is not None and now != seen:
+                    seen = now  # so a refused file waits for its next change
+                    self._swap_watched_model()
             n = self.run_cycle()
             cycles += 1
             idle = idle + 1 if n == 0 else 0
             if idle_limit is not None and idle >= idle_limit:
                 break
         return self.metrics
+
+    def _swap_watched_model(self) -> None:
+        active = self.model.version
+        try:
+            ack = self.hot_swap_model(self.config.model_path, self.config.codec_path)
+        except MaliotError as exc:
+            log.warning("hot swap refused, v%d stays active: %s", active, exc)
+        else:
+            log.info("hot swap accepted: v%d -> v%d (%s)",
+                     active, ack["new_version"], ack["kind"])
 
     def close(self) -> None:
         try:

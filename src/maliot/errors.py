@@ -98,6 +98,10 @@ class ProtocolError(BrokerError):
     """Malformed frame on the wire, or a reply that cannot fit in one."""
 
 
+class MessageTooLargeError(BrokerError):
+    """Produce refused: the message alone would not fit in a POLL reply."""
+
+
 # name -> class registry so the wire protocol can rehydrate errors
 ERROR_REGISTRY = {
     cls.__name__: cls
@@ -120,5 +124,6 @@ ERROR_REGISTRY = {
         BackpressureTimeoutError,
         BrokerUnreachableError,
         ProtocolError,
+        MessageTooLargeError,
     )
 }

@@ -136,12 +136,6 @@ class FeatureCodec:
             return cls.from_doc(json.load(fh))
 
 
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    label: int | None  # 0 benign, 1 anomaly, None unlabeled
-
-
 def fit_codec(records: list[FlowRecord], feature_set: str) -> FeatureCodec:
     """Fit normalization statistics; deterministic for a given sequence.
 
@@ -176,7 +170,7 @@ def encode_batch(records: list[FlowRecord], codec: FeatureCodec):
 
     X is (n, codec.width) float64 with no NaN/Inf; y is (n,) int8 with
     0 benign, 1 anomaly, UNLABELED (-1) for records without a label.
-    Row i equals encode(records[i]).values exactly.
+    Row i depends only on records[i], so it equals a 1-row encode exactly.
     """
     records = list(records)
     n = len(records)
@@ -210,9 +204,3 @@ def encode_batch(records: list[FlowRecord], codec: FeatureCodec):
         dtype=np.int8, count=n)
     return X, y
 
-
-def encode(record: FlowRecord, codec: FeatureCodec) -> FeatureVector:
-    """Encode one record; total over valid FlowRecords."""
-    X, y = encode_batch([record], codec)
-    label = None if y[0] == UNLABELED else int(y[0])
-    return FeatureVector(values=X[0], label=label)

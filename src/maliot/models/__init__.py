@@ -111,8 +111,7 @@ def predict_batch(model: TrainedModel, X) -> list[Prediction]:
 
 
 def predict(model: TrainedModel, x) -> Prediction:
-    values = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    return predict_batch(model, values.reshape(1, -1))[0]
+    return predict_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 def check_codec(model: TrainedModel, codec) -> None:

@@ -4,6 +4,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from maliot.broker.protocol import (
 )
 from maliot.errors import (
     BrokerUnreachableError,
+    MessageTooLargeError,
     OffsetOutOfRangeError,
     TopicExistsError,
     UnknownTopicError,
@@ -208,6 +210,24 @@ def test_unreachable_broker_raises(served):
         client.produce("t", "k", "v")
 
 
+def test_close_does_not_wait_on_idle_clients(tmp_path):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("t", 1)
+    server = BrokerServer(broker, port=0)
+    server.start()
+    clients = [TcpClient(server.host, server.port, consumer_id=f"c{i}")
+               for i in range(3)]
+    for c in clients:
+        c.subscribe("g", "t")  # each connection thread now waits in read_frame
+    t0 = time.perf_counter()
+    server.close()
+    elapsed = time.perf_counter() - t0
+    for c in clients:
+        c.close()
+    broker.close()
+    assert elapsed < 0.5
+
+
 def test_server_keeps_only_live_connection_threads(served):
     broker, server = served
     broker.create_topic("t", 1)
@@ -329,9 +349,9 @@ def test_oversized_reply_is_cut_and_the_poll_is_repeatable(served, monkeypatch):
 def test_message_too_big_for_a_frame_gets_err_and_the_connection_lives(
         served, monkeypatch):
     broker, server = served
-    monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
     broker.create_topic("t", 1)
-    broker.produce("t", "k", "x" * 2000)
+    broker.produce("t", "k", "x" * 2000)  # fits the cap it was produced under
+    monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
     with TcpClient(server.host, server.port) as c:
         c.subscribe("g", "t")
         sock = c._sock
@@ -339,6 +359,40 @@ def test_message_too_big_for_a_frame_gets_err_and_the_connection_lives(
             c.poll("g", "t", 10)
         assert c.produce("t", "k", "small") == (0, 1)
         assert c._sock is sock
+
+
+def test_message_too_big_for_any_reply_is_refused_at_produce(served, monkeypatch):
+    broker, server = served
+    broker.create_topic("t", 1)
+    with pytest.raises(MessageTooLargeError):
+        broker.produce("t", "k", "\x01" * 3_000_000)  # 18 MB once JSON-escaped
+    monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+    with TcpClient(server.host, server.port) as c:
+        # a 995-byte PRODUCE frame whose POLL reply would take 1050 bytes
+        with pytest.raises(MessageTooLargeError):  # rehydrated over TCP
+            c.produce("t", "k", "x" * 960)
+        assert c.produce("t", "k", "next") == (0, 0)
+        c.subscribe("g", "t")
+        assert [m.value for m in c.poll("g", "t", 10)] == ["next"]
+
+
+@pytest.mark.parametrize("char", ["x", "\x01", "\U0001f600"])  # 1, 6, 12 bytes
+def test_largest_message_that_fits_a_reply_round_trips(served, monkeypatch, char):
+    broker, server = served
+    monkeypatch.setattr(protocol, "MAX_FRAME", 2048)
+    broker.create_topic("t", 1)
+
+    def reply_len(n):
+        return _frame_len([{"topic": "t", "partition": 0, "offset": 0,
+                            "key": "k", "value": char * n}], [0])
+
+    n = max(n for n in range(2048) if reply_len(n) <= 2048)
+    with TcpClient(server.host, server.port) as c:
+        with pytest.raises(MessageTooLargeError):
+            c.produce("t", "k", char * (n + 1))
+        assert c.produce("t", "k", char * n) == (0, 0)
+        c.subscribe("g", "t")
+        assert [m.value for m in c.poll("g", "t", 10)] == [char * n]
 
 
 _MESSAGE = st.builds(

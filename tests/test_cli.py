@@ -122,6 +122,26 @@ def test_bad_number_in_config_file_exits_2(tmp_path, capsys, line, key):
     assert key in err
 
 
+def test_serve_has_no_tcp_sink(tmp_path, capsys):
+    flows, model = tmp_path / "f.csv", tmp_path / "m.json"
+    run(["gen", "--devices", "2", "--duration", "1", "--out", str(flows)],
+        capsys)
+    run(["train", "--model", "gaussian_nb", "--data", str(flows),
+         "--out", str(model)], capsys)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        broker = f"127.0.0.1:{probe.getsockname()[1]}"
+    code, _, _ = run(["serve", "--broker", broker, "--model", str(model),
+                      "--sink", "tcp"], capsys)
+    assert code == EXIT_USAGE
+    cfg = tmp_path / "serve.cfg"
+    cfg.write_text("serve.sink = tcp\n")
+    code, _, err = run(["--config", str(cfg), "serve", "--broker", broker,
+                        "--model", str(model)], capsys)
+    assert code == EXIT_USAGE
+    assert "sink 'tcp'" in err
+
+
 # -- gen ----------------------------------------------------------------------
 
 def test_gen_deterministic_files(tmp_path, capsys):

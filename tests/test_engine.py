@@ -1,6 +1,7 @@
 """Streaming engine: conservation, at-least-once, hot swap, retrain."""
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -228,6 +229,63 @@ def test_hot_swap_rejects_wrong_feature_regime(stack, tmp_path, small_corpus):
     with pytest.raises(CodecMismatchError):
         engine.hot_swap_model(deid, codec_path_for(deid))
     engine.close()
+
+
+def test_run_watches_the_model_file(tmp_path, small_corpus, caplog):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 1)
+    third = len(small_corpus) // 3
+    parts = [small_corpus[:third], small_corpus[third:2 * third],
+             small_corpus[2 * third:]]
+    model_path = _trained_model(small_corpus, tmp_path)
+    engine = _engine(broker, model_path, tmp_path)
+    swaps = []
+    hot_swap = engine.hot_swap_model
+
+    def counted_swap(*args):
+        swaps.append(args)
+        return hot_swap(*args)
+
+    engine.hot_swap_model = counted_swap
+
+    def produce(rows):
+        for r in rows:
+            broker.produce("flows", r.device_id, format_row(r))
+
+    def rewrite_and_produce(step, version, kind, rows):
+        _trained_model(small_corpus, tmp_path, version=version, kind=kind)
+        os.utime(model_path, (step, step))  # a new mtime whatever the clock
+        produce(rows)
+
+    steps = iter(range(100))
+
+    def should_stop():  # called before each cycle
+        step = next(steps)
+        if step == 2:
+            rewrite_and_produce(step, 2, "gaussian_nb", parts[1])
+        if step == 5:  # a lower version: refused, and never retried
+            rewrite_and_produce(step, 1, "decision_tree", parts[2])
+        return step == 10
+
+    produce(parts[0])
+    caplog.set_level(logging.INFO, logger="maliot.engine")
+    engine.run(should_stop=should_stop, watch_model=True)
+    engine.close()
+    broker.close()
+
+    verdicts = _read_verdicts(tmp_path / "verdicts.jsonl")
+    assert [v["model_version"] for v in verdicts] == \
+        [1] * len(parts[0]) + [2] * (len(parts[1]) + len(parts[2]))
+    assert {v["model_kind"] for v in verdicts[len(parts[0]):]} == {"gaussian_nb"}
+    assert engine.model.version == 2
+    assert len(swaps) == 2
+    logged = [(r.levelno, r.getMessage()) for r in caplog.records
+              if r.getMessage().startswith("hot swap")]
+    assert logged == [
+        (logging.INFO, "hot swap accepted: v1 -> v2 (gaussian_nb)"),
+        (logging.WARNING,
+         "hot swap refused, v2 stays active: version 1 <= active 2"),
+    ]
 
 
 def test_engine_rejects_mismatched_codec_on_boot(tmp_path, small_corpus):

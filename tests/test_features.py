@@ -7,7 +7,6 @@ from maliot.errors import EmptyDatasetError
 from maliot.features import (
     UNLABELED,
     FeatureCodec,
-    encode,
     encode_batch,
     fit_codec,
     numeric_feature_names,
@@ -38,8 +37,8 @@ def test_deid_ignores_endpoints(codecs):
                     dst_port=9999)
     deid = codecs["de_identified"]
     full = codecs["full"]
-    assert np.array_equal(encode(a, deid).values, encode(b, deid).values)
-    assert not np.array_equal(encode(a, full).values, encode(b, full).values)
+    assert np.array_equal(encode_batch([a], deid)[0], encode_batch([b], deid)[0])
+    assert not np.array_equal(encode_batch([a], full)[0], encode_batch([b], full)[0])
 
 
 def test_encode_never_produces_nan(codecs, small_corpus):
@@ -54,7 +53,7 @@ def test_encode_never_produces_nan(codecs, small_corpus):
 def test_missing_numeric_encodes_at_training_mean(codecs):
     # z-scored space: missing -> 0.0, exactly the fitted mean
     r = make_record(duration=None)
-    v = encode(r, codecs["de_identified"]).values
+    v = encode_batch([r], codecs["de_identified"])[0][0]
     names = numeric_feature_names("de_identified")
     assert v[names.index("duration")] == 0.0
 
@@ -64,8 +63,8 @@ def test_batch_matches_single_row(codecs, small_corpus):
     for codec in codecs.values():
         X, y = encode_batch(sample, codec)
         for i in (0, 100, 256):
-            single = encode(sample[i], codec)
-            assert np.array_equal(X[i], single.values)
+            single, _ = encode_batch([sample[i]], codec)
+            assert np.array_equal(X[i], single[0])
 
 
 def test_labels_encode_with_unlabeled_sentinel(codecs):
@@ -73,13 +72,13 @@ def test_labels_encode_with_unlabeled_sentinel(codecs):
                make_record(label=None)]
     _, y = encode_batch(records, codecs["full"])
     assert y.tolist() == [0, 1, UNLABELED]
-    assert encode(records[2], codecs["full"]).label is None
+    assert encode_batch([records[2]], codecs["full"])[1][0] == UNLABELED
 
 
 def test_one_hot_unknowns_use_other_bucket(codecs):
     r = make_record(proto="icmp", service="irc", conn_state="RSTRH")
     codec = codecs["full"]
-    v = encode(r, codec).values
+    v = encode_batch([r], codec)[0][0]
     k = len(codec.numeric_means)
     # exactly one 1.0 in each categorical block
     blocks = (
