@@ -47,10 +47,6 @@ class BrokerServer:
         )
         self._accept_thread.start()
 
-    def serve_forever(self) -> None:
-        self.start()
-        self._accept_thread.join()
-
     def _accept_loop(self) -> None:
         while not self._stop.is_set():
             try:

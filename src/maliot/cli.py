@@ -7,6 +7,7 @@ Logs go to stderr; result data goes to files or stdout, never mixed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -212,6 +213,25 @@ def cmd_train(s: Settings, seed: int) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _stop_on_signals():
+    """Yield an event that SIGINT and SIGTERM set; restore the old handlers
+    on the way out, so an in-process caller keeps its own."""
+    stop = threading.Event()
+    previous = {}
+    try:
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            previous[sig] = signal.signal(sig, lambda *_: stop.set())
+    except ValueError:
+        pass  # not the main thread (tests drive this in workers)
+    try:
+        yield stop
+    finally:
+        for sig, handler in previous.items():
+            # None: the old handler was not installed from Python
+            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
+
+
 def cmd_broker(s: Settings, seed: int) -> int:
     del seed
     data_dir = s.get("data-dir")
@@ -223,10 +243,7 @@ def cmd_broker(s: Settings, seed: int) -> int:
         fsync_interval_ms=s.get("fsync-interval-ms", 50.0, float),
         max_partition_backlog=s.get("max-backlog", 1_000_000, int),
     )
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    with Broker(config) as broker:
+    with _stop_on_signals() as stop, Broker(config) as broker:
         for spec_str in s.args.create_topic or []:
             name, _, parts = spec_str.partition(":")
             broker.create_topic(name, int(parts) if parts else 3)
@@ -287,25 +304,20 @@ def cmd_serve(s: Settings, seed: int) -> int:
     max_cycles = s.get("max-cycles", None, int)
     idle_limit = s.get("idle-limit", None, int)
     watch = s.get("watch-model", False, bool)
-    stop = threading.Event()
-    try:
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    except ValueError:
-        pass  # not the main thread (tests drive this in workers)
-    client = TcpClient(host, port, consumer_id=s.get("consumer-id", "_default"))
-    engine = StreamEngine(client, config)
-    log.info("serving %s v%d (%s/%s) from %s:%d",
-             engine.model.kind, engine.model.version,
-             config.topic, config.group, host, port)
-    try:
-        engine.run(max_cycles, idle_limit, stop.is_set, watch)
-    finally:
-        engine.close()
-        client.close()
-        summary = engine.metrics.summary()
-        log.info("engine summary: %s", json.dumps(summary))
-        print(json.dumps(summary), file=sys.stderr)
+    with _stop_on_signals() as stop:
+        client = TcpClient(host, port, consumer_id=s.get("consumer-id", "_default"))
+        engine = StreamEngine(client, config)
+        log.info("serving %s v%d (%s/%s) from %s:%d",
+                 engine.model.kind, engine.model.version,
+                 config.topic, config.group, host, port)
+        try:
+            engine.run(max_cycles, idle_limit, stop.is_set, watch)
+        finally:
+            engine.close()
+            client.close()
+            summary = engine.metrics.summary()
+            log.info("engine summary: %s", json.dumps(summary))
+            print(json.dumps(summary), file=sys.stderr)
     return EXIT_OK
 
 

@@ -183,6 +183,8 @@ def load_model_and_codec(model_path: str, codec_path: str = "") -> tuple:
         codec = FeatureCodec.load(codec_path)
     except OSError as exc:
         raise ModelLoadError(f"cannot read codec: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ModelLoadError(f"bad codec {codec_path}: {exc!r}") from None
     models.check_codec(model, codec)
     return model, codec
 

@@ -9,9 +9,6 @@ import numpy as np
 from ..errors import CodecMismatchError, EmptyDatasetError
 from ..flows import LABEL_ANOMALY, LABEL_BENIGN
 from .base import (
-    DEFAULT_CONFIGS,
-    DISCRIMINATIVE_KINDS,
-    MODEL_KINDS,
     ForestConfig,
     GnbConfig,
     LinearConfig,
@@ -24,7 +21,7 @@ from .base import (
     metrics_from_confusion,
 )
 from .io import load_model, save_model
-from .registry import KIND_IMPLS
+from .registry import DISCRIMINATIVE_KINDS, KINDS, MODEL_KINDS
 
 __all__ = [
     "MODEL_KINDS",
@@ -66,15 +63,15 @@ def train(
     defaults to the wall clock and is bookkeeping only; it never affects
     the learned parameters.
     """
-    if kind not in MODEL_KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    X, y = as_training_matrix(X, y, kind)
+    X, y = as_training_matrix(X, y, kind, kind in DISCRIMINATIVE_KINDS)
+    expected = KINDS[kind].config
     if config is None:
-        config = DEFAULT_CONFIGS[kind]()
-    expected = DEFAULT_CONFIGS[kind]
+        config = expected()
     if not isinstance(config, expected):
         raise TypeError(f"{kind} wants {expected.__name__}, got {type(config).__name__}")
-    params = KIND_IMPLS[kind].fit(X, y, config, seed)
+    params = KINDS[kind].fit(X, y, config, seed)
     return TrainedModel(
         kind=kind,
         params=params,
@@ -87,7 +84,7 @@ def train(
 def score_batch(model: TrainedModel, X) -> np.ndarray:
     """Anomaly scores in [0, 1], one per row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return KIND_IMPLS[model.kind].score(model.params, X)
+    return KINDS[model.kind].score(model.params, X)
 
 
 def labels_from_scores(model: TrainedModel, scores: np.ndarray) -> np.ndarray:

@@ -14,18 +14,6 @@ from ..errors import (
     SingleClassDataError,
 )
 
-MODEL_KINDS = (
-    "random_forest",
-    "decision_tree",
-    "logistic_regression",
-    "linear_svm",
-    "gaussian_nb",
-    "ann",
-)
-
-# Kinds that model a decision boundary and therefore need both classes.
-DISCRIMINATIVE_KINDS = frozenset(MODEL_KINDS) - {"gaussian_nb"}
-
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -70,16 +58,6 @@ class MlpConfig:
     n_batch: int = 100
     n_epoch: int = 1
     clf_reg: float = 1e-5
-
-
-DEFAULT_CONFIGS = {
-    "decision_tree": TreeConfig,
-    "random_forest": ForestConfig,
-    "logistic_regression": LinearConfig,
-    "linear_svm": LinearConfig,
-    "gaussian_nb": GnbConfig,
-    "ann": MlpConfig,
-}
 
 
 @dataclass
@@ -140,8 +118,12 @@ def metrics_from_confusion(tp: int, fp: int, tn: int, fn: int) -> Metrics:
     )
 
 
-def as_training_matrix(X, y, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and normalize training inputs for ``train``."""
+def as_training_matrix(X, y, kind: str, discriminative: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Validate and normalize training inputs for ``train``.
+
+    A ``discriminative`` kind models a decision boundary and so needs both
+    classes.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2:
@@ -156,7 +138,7 @@ def as_training_matrix(X, y, kind: str) -> tuple[np.ndarray, np.ndarray]:
     uniq = set(np.unique(y).tolist())
     if not uniq <= {0, 1}:
         raise ValueError(f"training labels must be 0 or 1, got {sorted(uniq)}")
-    if kind in DISCRIMINATIVE_KINDS and len(uniq) < 2:
+    if discriminative and len(uniq) < 2:
         raise SingleClassDataError(f"{kind} needs both classes, got only {uniq}")
     return X, y
 

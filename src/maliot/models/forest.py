@@ -1,8 +1,9 @@
 """Random forest: bagged CART trees with per-split feature subsampling.
 
-Scoring walks one packed node table holding every tree, so all (row, tree)
-pairs descend together instead of looping over trees in Python (the
-QuickScorer layout idea: Lucchese et al., SIGIR 2015).
+A forest keeps its trees only as one node table (``tree.pack``), the same
+layout a decision tree uses with a single root.  Scoring walks that table,
+so all (row, tree) pairs descend together instead of looping over trees in
+Python (the QuickScorer layout idea: Lucchese et al., SIGIR 2015).
 """
 
 from __future__ import annotations
@@ -48,64 +49,35 @@ def fit(X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> dict:
         else:
             Xb, yb = X, y
         trees.append(tree.grow_tree(Xb, yb, tree_cfg, rng=rng, n_candidates=n_cand))
-    return _with_packed({
-        "width": int(width),
-        "tie_break": config.tie_break,
-        "trees": trees,
-    })
-
-
-def _with_packed(params: dict) -> dict:
-    """Add the packed table: all trees' nodes in one set of flat arrays.
-
-    Child indices are offset by each tree's start, ``roots`` holds those
-    starts, and ``vote`` is each node's 0/1 ballot (``value >= 0.5``).
-    """
-    trees = params["trees"]
-    starts = np.cumsum([0] + [t["feature"].size for t in trees[:-1]])
-
-    def children(key: str) -> np.ndarray:
-        return np.concatenate([
-            np.where(t[key] == tree.LEAF, tree.LEAF, t[key] + s)
-            for t, s in zip(trees, starts)
-        ])
-
-    params["packed"] = {
-        "feature": np.concatenate([t["feature"] for t in trees]),
-        "threshold": np.concatenate([t["threshold"] for t in trees]),
-        "left": children("left"),
-        "right": children("right"),
-        "roots": starts,
-        "vote": np.concatenate([t["value"] >= 0.5 for t in trees]).astype(np.float64),
-    }
-    return params
+    return {"width": int(width), "tie_break": config.tie_break, **tree.pack(trees)}
 
 
 def score(params: dict, X: np.ndarray) -> np.ndarray:
-    """Fraction of trees voting anomaly.
+    """Fraction of trees voting anomaly (a leaf value of 0.5 or more).
 
-    Votes are 0/1, so each row's sum is an exact integer in any order.
+    Votes are counted as integers, so each row's score is exact.
     """
     check_width(params, X)
-    packed = params["packed"]
-    votes = np.empty(X.shape[0], dtype=np.float64)
+    roots = params["roots"]
+    votes = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], BLOCK_ROWS):
-        leaves = tree.walk(packed, packed["roots"], X[start:start + BLOCK_ROWS])
-        votes[start:start + BLOCK_ROWS] = packed["vote"][leaves].sum(axis=1)
-    return votes / packed["roots"].size
+        leaves = tree.walk(params, roots, X[start:start + BLOCK_ROWS])
+        votes[start:start + BLOCK_ROWS] = np.count_nonzero(
+            params["value"][leaves] >= 0.5, axis=1)
+    return votes / roots.size
 
 
 def to_doc(params: dict) -> dict:
     return {
         "width": params["width"],
         "tie_break": params["tie_break"],
-        "trees": [tree.tree_to_doc(t) for t in params["trees"]],
+        "trees": [tree.tree_to_doc(t) for t in tree.unpack(params)],
     }
 
 
 def from_doc(doc: dict) -> dict:
-    return _with_packed({
+    return {
         "width": int(doc["width"]),
         "tie_break": str(doc["tie_break"]),
-        "trees": [tree.tree_from_doc(t) for t in doc["trees"]],
-    })
+        **tree.pack([tree.tree_from_doc(t) for t in doc["trees"]]),
+    }

@@ -13,8 +13,8 @@ import json
 import os
 
 from ..errors import CorruptModelError, ModelLoadError, VersionMismatchError
-from .base import MODEL_KINDS, TrainedModel
-from .registry import KIND_IMPLS
+from .base import TrainedModel
+from .registry import KINDS
 
 FORMAT_VERSION = 1
 
@@ -28,9 +28,9 @@ def _params_checksum(params_doc: dict) -> str:
 
 
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
-    if model.kind not in MODEL_KINDS:
+    if model.kind not in KINDS:
         raise ModelLoadError(f"unknown model kind {model.kind!r}")
-    params_doc = KIND_IMPLS[model.kind].to_doc(model.params)
+    params_doc = KINDS[model.kind].to_doc(model.params)
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
@@ -60,7 +60,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
     if fv != FORMAT_VERSION:
         raise VersionMismatchError(f"{path}: format_version {fv!r}")
     kind = doc.get("kind")
-    if kind not in MODEL_KINDS:
+    if kind not in KINDS:
         raise CorruptModelError(f"{path}: unknown kind {kind!r}")
     for key in ("checksum", "params", "codec_fingerprint", "version"):
         if key not in doc:
@@ -68,7 +68,7 @@ def load_model(path: str | os.PathLike) -> TrainedModel:
     if _params_checksum(doc["params"]) != doc["checksum"]:
         raise CorruptModelError(f"{path}: checksum mismatch")
     try:
-        params = KIND_IMPLS[kind].from_doc(doc["params"])
+        params = KINDS[kind].from_doc(doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelError(f"{path}: bad params ({exc})") from None
     return TrainedModel(

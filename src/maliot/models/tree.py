@@ -2,7 +2,9 @@
 
 The grown tree is stored as five parallel arrays (feature, threshold, left,
 right, value) so it serializes to JSON directly and batch prediction can
-walk all rows level by level without Python recursion.
+walk all rows level by level without Python recursion.  A fitted model
+keeps them as the node table ``pack`` builds, with one root; a forest keeps
+all its trees in one such table.
 """
 
 from __future__ import annotations
@@ -12,6 +14,15 @@ import numpy as np
 from .base import TreeConfig, check_width
 
 LEAF = -1
+
+# A tree's arrays and their dtypes, in the order the model file lists them.
+_ARRAYS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "value": np.float64,
+}
 
 
 def _gini_best_split(
@@ -120,13 +131,7 @@ def grow_tree(
     """Grow one tree and return its flat-array form (no width key)."""
     b = _Builder(X, y, config, rng, n_candidates)
     b.grow(np.arange(X.shape[0]), 0)
-    return {
-        "feature": np.asarray(b.feature, dtype=np.int64),
-        "threshold": np.asarray(b.threshold, dtype=np.float64),
-        "left": np.asarray(b.left, dtype=np.int64),
-        "right": np.asarray(b.right, dtype=np.int64),
-        "value": np.asarray(b.value, dtype=np.float64),
-    }
+    return {key: np.asarray(getattr(b, key), dtype=dtype) for key, dtype in _ARRAYS.items()}
 
 
 def walk(nodes: dict, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -157,53 +162,64 @@ def walk(nodes: dict, roots: np.ndarray, X: np.ndarray) -> np.ndarray:
     return leaves.reshape(n, k)
 
 
-_ROOT = np.zeros(1, dtype=np.int64)
+def pack(trees: list[dict]) -> dict:
+    """One node table holding every tree, in flat arrays.
+
+    Child indices are offset by each tree's start, and ``roots`` holds
+    those starts in tree order.
+    """
+    starts = np.cumsum([0] + [t["feature"].size for t in trees[:-1]])
+
+    def children(key: str) -> np.ndarray:
+        return np.concatenate([
+            np.where(t[key] == LEAF, LEAF, t[key] + s)
+            for t, s in zip(trees, starts)
+        ])
+
+    return {
+        "feature": np.concatenate([t["feature"] for t in trees]),
+        "threshold": np.concatenate([t["threshold"] for t in trees]),
+        "left": children("left"),
+        "right": children("right"),
+        "value": np.concatenate([t["value"] for t in trees]),
+        "roots": starts,
+    }
 
 
-def tree_scores(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf anomaly fraction for every row."""
-    return tree["value"][walk(tree, _ROOT, X)[:, 0]]
+def unpack(table: dict) -> list[dict]:
+    """The per-tree arrays that ``pack`` was given, one dict per root."""
+    roots = table["roots"].tolist()
+    trees = []
+    for s, e in zip(roots, roots[1:] + [table["feature"].size]):
+        t = {key: table[key][s:e] for key in _ARRAYS}
+        for key in ("left", "right"):
+            t[key] = np.where(t[key] == LEAF, LEAF, t[key] - s)
+        trees.append(t)
+    return trees
 
 
 def fit(X: np.ndarray, y: np.ndarray, config: TreeConfig, seed: int) -> dict:
     del seed  # a single CART fit is fully data-determined
-    params = grow_tree(X, y, config)
-    params["width"] = int(X.shape[1])
-    return params
+    return {"width": int(X.shape[1]), **pack([grow_tree(X, y, config)])}
 
 
 def score(params: dict, X: np.ndarray) -> np.ndarray:
+    """Leaf anomaly fraction for every row."""
     check_width(params, X)
-    return tree_scores(params, X)
+    return params["value"][walk(params, params["roots"], X)[:, 0]]
 
 
-def tree_to_doc(tree: dict) -> dict:
-    return {
-        "feature": tree["feature"].tolist(),
-        "threshold": tree["threshold"].tolist(),
-        "left": tree["left"].tolist(),
-        "right": tree["right"].tolist(),
-        "value": tree["value"].tolist(),
-    }
+def tree_to_doc(t: dict) -> dict:
+    return {key: t[key].tolist() for key in _ARRAYS}
 
 
 def tree_from_doc(doc: dict) -> dict:
-    return {
-        "feature": np.asarray(doc["feature"], dtype=np.int64),
-        "threshold": np.asarray(doc["threshold"], dtype=np.float64),
-        "left": np.asarray(doc["left"], dtype=np.int64),
-        "right": np.asarray(doc["right"], dtype=np.int64),
-        "value": np.asarray(doc["value"], dtype=np.float64),
-    }
+    return {key: np.asarray(doc[key], dtype=dtype) for key, dtype in _ARRAYS.items()}
 
 
 def to_doc(params: dict) -> dict:
-    d = tree_to_doc(params)
-    d["width"] = params["width"]
-    return d
+    return {**tree_to_doc(params), "width": params["width"]}
 
 
 def from_doc(doc: dict) -> dict:
-    params = tree_from_doc(doc)
-    params["width"] = int(doc["width"])
-    return params
+    return {"width": int(doc["width"]), **pack([tree_from_doc(doc)])}

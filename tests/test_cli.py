@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import socket
 
 import pytest
@@ -122,15 +123,19 @@ def test_bad_number_in_config_file_exits_2(tmp_path, capsys, line, key):
     assert key in err
 
 
+def _unused_addr():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{probe.getsockname()[1]}"
+
+
 def test_serve_has_no_tcp_sink(tmp_path, capsys):
     flows, model = tmp_path / "f.csv", tmp_path / "m.json"
     run(["gen", "--devices", "2", "--duration", "1", "--out", str(flows)],
         capsys)
     run(["train", "--model", "gaussian_nb", "--data", str(flows),
          "--out", str(model)], capsys)
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        broker = f"127.0.0.1:{probe.getsockname()[1]}"
+    broker = _unused_addr()
     code, _, _ = run(["serve", "--broker", broker, "--model", str(model),
                       "--sink", "tcp"], capsys)
     assert code == EXIT_USAGE
@@ -140,6 +145,29 @@ def test_serve_has_no_tcp_sink(tmp_path, capsys):
                         "--model", str(model)], capsys)
     assert code == EXIT_USAGE
     assert "sink 'tcp'" in err
+
+
+def test_serve_with_a_truncated_codec_exits_4(tmp_path, capsys):
+    flows, model = tmp_path / "f.csv", tmp_path / "m.json"
+    run(["gen", "--devices", "2", "--duration", "1", "--out", str(flows)],
+        capsys)
+    run(["train", "--model", "gaussian_nb", "--data", str(flows),
+         "--out", str(model)], capsys)
+    codec = tmp_path / "m.codec.json"
+    codec.write_text(codec.read_text()[:40])
+    code, _, err = run(["serve", "--broker", _unused_addr(),
+                        "--model", str(model)], capsys)
+    assert code == EXIT_IO
+    assert "bad codec" in err
+
+
+def test_serve_restores_signal_handlers(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+    code, _, _ = run(["serve", "--broker", _unused_addr(),
+                      "--model", str(tmp_path / "missing.json")], capsys)
+    assert code == EXIT_IO
+    assert (signal.getsignal(signal.SIGINT),
+            signal.getsignal(signal.SIGTERM)) == before
 
 
 # -- gen ----------------------------------------------------------------------

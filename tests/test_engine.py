@@ -288,6 +288,47 @@ def test_run_watches_the_model_file(tmp_path, small_corpus, caplog):
     ]
 
 
+def test_watched_swap_to_a_corrupt_codec_is_refused(tmp_path, small_corpus, caplog):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 1)
+    half = len(small_corpus) // 2
+    model_path = _trained_model(small_corpus, tmp_path)
+    engine = _engine(broker, model_path, tmp_path)
+
+    def produce(rows):
+        for r in rows:
+            broker.produce("flows", r.device_id, format_row(r))
+
+    steps = iter(range(100))
+
+    def should_stop():  # called before each cycle
+        step = next(steps)
+        if step == 2:  # a v2 model whose codec file is cut short
+            _trained_model(small_corpus, tmp_path, version=2, kind="gaussian_nb")
+            with open(codec_path_for(model_path), "w") as fh:
+                fh.write("{")
+            os.utime(model_path, (step, step))
+            produce(small_corpus[half:])
+        return step == 6
+
+    produce(small_corpus[:half])
+    caplog.set_level(logging.INFO, logger="maliot.engine")
+    engine.run(should_stop=should_stop, watch_model=True)
+    engine.close()
+    broker.close()
+
+    verdicts = _read_verdicts(tmp_path / "verdicts.jsonl")
+    assert len(verdicts) == len(small_corpus)
+    assert {(v["model_version"], v["model_kind"]) for v in verdicts} == \
+        {(1, "decision_tree")}
+    logged = [(r.levelno, r.getMessage()) for r in caplog.records
+              if r.getMessage().startswith("hot swap")]
+    assert len(logged) == 1
+    level, message = logged[0]
+    assert level == logging.WARNING
+    assert message.startswith("hot swap refused, v1 stays active: bad codec")
+
+
 def test_engine_rejects_mismatched_codec_on_boot(tmp_path, small_corpus):
     model_path = _trained_model(small_corpus, tmp_path)
     broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
@@ -347,8 +388,9 @@ def test_unlabeled_rows_score_but_are_dropped_from_retraining(
     assert engine.metrics.verdicts == 50       # unlabeled rows still scored
 
     model, codec = retrain_from_persisted(persist, "gaussian_nb", "full")
-    # only the 25 labeled records could have trained this model
-    assert model.params["priors"].shape == (2,) or True
+    # only the 25 labeled records trained this model: 17 benign, 8 anomaly
+    assert codec.fingerprint() == fit_codec(small_corpus[:25], "full").fingerprint()
+    assert model.params["priors"].tolist() == [17 / 25, 8 / 25]
     broker.close()
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from maliot import models
 from maliot.models import ForestConfig, TreeConfig
-from maliot.models.tree import LEAF
+from maliot.models import forest
+from maliot.models.tree import LEAF, grow_tree, pack, unpack
 
 
 def _toy(rng, n=120, d=5):
@@ -59,7 +60,7 @@ def test_bootstrap_varies_trees(rng):
     X, y = _toy(rng, n=60)
     m = models.train("random_forest", X, y, seed=1,
                      config=ForestConfig(n_trees=12))
-    docs = m.params["trees"]
+    docs = unpack(m.params)
     assert len(docs) == 12
     assert len({str(t["threshold"]) for t in docs}) > 1
 
@@ -94,7 +95,7 @@ def test_sqrt_feature_subsampling_recorded(rng):
     m = models.train("random_forest", X, y,
                      config=ForestConfig(n_trees=3))
     # subsampled trees can split on any feature; all indices must be valid
-    for t in m.params["trees"]:
+    for t in unpack(m.params):
         feats = [f for f in t["feature"] if f >= 0]
         assert all(0 <= f < 9 for f in feats)
 
@@ -103,14 +104,14 @@ def test_depth_config_propagates(rng):
     X, y = _toy(rng, n=300)
     m = models.train("random_forest", X, y, seed=0,
                      config=ForestConfig(n_trees=5, max_depth=1))
-    for t in m.params["trees"]:
+    for t in unpack(m.params):
         assert len(t["feature"]) <= 3  # root plus two leaves
 
 
 def _per_tree_vote_counts(params, X):
     """Oracle: anomaly votes per row, one tree and one row at a time."""
     counts = np.zeros(X.shape[0], dtype=np.int64)
-    for t in params["trees"]:
+    for t in unpack(params):
         for i, x in enumerate(X):
             node = 0
             while t["feature"][node] != LEAF:
@@ -143,7 +144,7 @@ def test_packed_walk_matches_per_tree_loop(tmp_path_factory, n_trees, n_rows,
     m = models.train("random_forest", X, y, seed=seed,
                      config=ForestConfig(n_trees=n_trees))
     # queries hit the grid and every threshold exactly (the <= boundary)
-    thresholds = np.concatenate([t["threshold"] for t in m.params["trees"]])
+    thresholds = np.concatenate([t["threshold"] for t in unpack(m.params)])
     pool = np.concatenate([np.arange(-1.0, 5.0, 0.5), thresholds])
     q = rng.choice(pool, size=(batch, 3))
 
@@ -158,3 +159,29 @@ def test_packed_walk_matches_per_tree_loop(tmp_path_factory, n_trees, n_rows,
     path = tmp_path_factory.mktemp("forest") / "rf.json"
     models.save_model(m, path)
     assert np.array_equal(models.score_batch(models.load_model(path), q), scores)
+
+    # The one node table holds exactly the trees fit grew, and nothing else.
+    grown = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        tree_rng = np.random.default_rng(child)
+        rows = tree_rng.integers(0, n_rows, size=n_rows)
+        grown.append(grow_tree(X[rows], y[rows], TreeConfig(), rng=tree_rng,
+                               n_candidates=2))  # round(sqrt(3 features))
+    _assert_same_arrays(unpack(m.params), grown)
+    _assert_same_arrays(unpack(pack(grown)), grown)
+    table = {k: v for k, v in m.params.items() if k not in ("width", "tie_break")}
+    _assert_same_arrays([pack(grown)], [table])
+    _assert_same_arrays([forest.from_doc(forest.to_doc(m.params))], [m.params])
+
+
+def _assert_same_arrays(got, want):
+    """Dicts pairwise equal key for key, arrays equal in value and dtype."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, value in w.items():
+            if isinstance(value, np.ndarray):
+                assert g[key].dtype == value.dtype, key
+                assert np.array_equal(g[key], value), key
+            else:
+                assert g[key] == value, key

@@ -47,6 +47,26 @@ def test_round_trip_scores_bit_equal(tmp_path, rng):
                               models.score_batch(back, q))
 
 
+def test_tree_model_checksums_are_pinned(tmp_path):
+    # Recorded before the forest kept its trees as one node table: the
+    # saved params of both tree kinds must not change by a byte.
+    rng = np.random.default_rng(2023)
+    X = np.round(rng.normal(0, 1, size=(150, 4)), 2)
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0.3).astype(np.int8)
+    pinned = {
+        "random_forest": (ForestConfig(n_trees=6, max_depth=5),
+                          "82cfd621e4feb60e68b34032b0d7ffc3"
+                          "6768572e6717b2d1ac8d34386167f043"),
+        "decision_tree": (None,
+                          "39d5cac3823f4f620f5d816b71f47296"
+                          "46c6cc11ba935a42da21c40de7fd86d6"),
+    }
+    for kind, (cfg, checksum) in pinned.items():
+        path = tmp_path / f"{kind}.json"
+        models.save_model(models.train(kind, X, y, config=cfg, seed=9), path)
+        assert json.loads(path.read_text())["checksum"] == checksum, kind
+
+
 def test_file_is_versioned_json_with_checksum(tmp_path, rng):
     trained, _ = _fit_all(rng)
     path = tmp_path / "m.json"

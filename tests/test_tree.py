@@ -11,7 +11,7 @@ import pytest
 from maliot import models
 from maliot.errors import SingleClassDataError
 from maliot.models import TreeConfig
-from maliot.models.tree import grow_tree, tree_scores
+from maliot.models.tree import grow_tree
 
 
 # -- oracle -------------------------------------------------------------------
