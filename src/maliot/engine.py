@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +26,11 @@ from .errors import (
     EmptyDatasetError,
     MaliotError,
     ModelLoadError,
-    ParseError,
     VersionRegressionError,
 )
+from .decode import decode_batch
 from .features import FeatureCodec, encode_batch, fit_codec
-from .flows import MALIOT_CSV_HEADER, format_row, parse_record, read_dataset
+from .flows import MALIOT_CSV_HEADER, read_dataset
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +74,39 @@ class Verdict:
         return json.dumps(self.__dict__, separators=(",", ":"))
 
 
+def _json_floats(a) -> list[str]:
+    """json's text of each float (its repr, or NaN/Infinity), formatted
+    once per distinct value."""
+    a = np.asarray(a, dtype=np.float64)
+    fmt = float.__repr__ if np.isfinite(a).all() else json.dumps
+    bits = a.view(np.uint64).tolist()  # keys that tell -0.0 from 0.0
+    text = {b: fmt(x) for b, x in dict(zip(bits, a.tolist())).items()}
+    return [text[b] for b in bits]
+
+
+def verdict_lines(topic: str, model, partitions, offsets, devices, ts,
+                  scores, anomalous, latency_us) -> list[str]:
+    """One batch's verdicts as JSON lines, each ending in a newline and
+    equal to ``Verdict(...).to_json()`` for the same values, byte for byte."""
+    head = '{"topic":%s,"partition":' % json.dumps(topic)
+    tail = ',"model_kind":%s,"model_version":%s,"latency_us":' % (
+        json.dumps(model.kind), json.dumps(model.version))
+    device = {d: json.dumps(d) for d in set(devices)}
+    label = ('"benign"', '"anomaly"')
+    return [f'{head}{p},"offset":{o},"device_id":{device[d]},"ts":{t},'
+            f'"label":{label[a]},"score":{s}{tail}{lat}}}\n'
+            for p, o, d, t, a, s, lat in zip(
+                partitions, offsets, devices, _json_floats(ts),
+                np.asarray(anomalous, dtype=bool).tolist(),
+                _json_floats(scores), _json_floats(latency_us))]
+
+
 @dataclass
 class EngineMetrics:
     rows: int = 0
     verdicts: int = 0
     parse_errors: int = 0
+    parse_error_reasons: Counter = field(default_factory=Counter)
     batches: int = 0
     # (rows, wall seconds) per non-empty batch; amortized cost comes from here
     batch_stats: list = field(default_factory=list)
@@ -89,75 +118,84 @@ class EngineMetrics:
             "rows": self.rows,
             "verdicts": self.verdicts,
             "parse_errors": self.parse_errors,
+            "parse_error_reasons": dict(self.parse_error_reasons),
             "batches": self.batches,
             "mean_latency_us": float(np.mean(lat)) if lat else 0.0,
             "p95_latency_us": float(np.percentile(lat, 95)) if lat else 0.0,
         }
 
 
-class JsonlFileSink:
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
+class LineSink:
+    """Writes a batch's verdict lines in one call; a durable one fsyncs."""
 
-    def emit(self, verdicts: list[Verdict]) -> None:
-        for v in verdicts:
-            self._fh.write(v.to_json() + "\n")
+    def __init__(self, fh, durable: bool):
+        self._fh, self._durable = fh, durable
+
+    def emit(self, lines: list[str]) -> None:
+        self._fh.write("".join(lines))
 
     def flush(self) -> None:
         self._fh.flush()
-        os.fsync(self._fh.fileno())
+        if self._durable:
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
-        self._fh.close()
+        if self._durable:
+            self._fh.close()
 
 
-class StdoutSink:
-    def emit(self, verdicts: list[Verdict]) -> None:
-        for v in verdicts:
-            sys.stdout.write(v.to_json() + "\n")
-
-    def flush(self) -> None:
-        sys.stdout.flush()
-
-    def close(self) -> None:
-        pass
-
-
-def make_sink(config: EngineConfig):
+def make_sink(config: EngineConfig) -> LineSink:
     if config.sink == "jsonl_file":
-        return JsonlFileSink(config.sink_path)
+        return LineSink(open(config.sink_path, "a", encoding="utf-8"), True)
     if config.sink == "stdout":
-        return StdoutSink()
+        return LineSink(sys.stdout, False)
     raise BadConfigError(f"sink {config.sink!r}, want one of {SINKS}")
 
 
 class _Persister:
-    """Appends raw rows as maliot_csv, one file per (topic, partition, hour)."""
+    """Appends raw rows as received, one file per (topic, partition, hour).
+
+    A flush fsyncs the files written since the last one and then closes,
+    per partition, every file but that of the newest hour it wrote, so a
+    long run keeps at most one file open per partition.
+    """
 
     def __init__(self, root: str, topic: str):
         self.root = root
         self.topic = topic
-        self._files: dict[str, object] = {}
+        self._files: dict[tuple[int, int], object] = {}  # (partition, hour)
+        self._written: set[tuple[int, int]] = set()
         os.makedirs(root, exist_ok=True)
 
-    def append(self, partition: int, record) -> None:
-        hour = time.strftime("%Y%m%d%H", time.gmtime(record.ts))
-        name = f"{self.topic}-{partition}-{hour}.csv"
-        fh = self._files.get(name)
-        if fh is None:
-            path = os.path.join(self.root, name)
-            fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-            fh = open(path, "a", encoding="utf-8")
-            if fresh:
-                fh.write(MALIOT_CSV_HEADER + "\n")
-            self._files[name] = fh
-        fh.write(format_row(record) + "\n")
+    def append(self, partitions, values, ts) -> None:
+        """Write each parsed value, ended by exactly one newline, to the
+        file of its partition and of the UTC hour of its ts."""
+        hours = (np.floor(ts).astype(np.int64) // 3600).tolist()
+        groups: dict[tuple[int, int], list[str]] = {}
+        for key, value in zip(zip(partitions, hours), values):
+            groups.setdefault(key, []).append(value.rstrip("\r\n"))
+        for (partition, hour), rows in groups.items():
+            fh = self._files.get((partition, hour))
+            if fh is None:
+                stamp = time.strftime("%Y%m%d%H", time.gmtime(hour * 3600))
+                path = os.path.join(self.root, f"{self.topic}-{partition}-{stamp}.csv")
+                fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+                fh = self._files[partition, hour] = open(path, "a", encoding="utf-8")
+                if fresh:
+                    fh.write(MALIOT_CSV_HEADER + "\n")
+            fh.write("\n".join(rows) + "\n")
+            self._written.add((partition, hour))
 
     def flush(self) -> None:
-        for fh in self._files.values():
+        newest: dict[int, tuple[int, int]] = {}
+        for key in self._written:
+            fh = self._files[key]
             fh.flush()
             os.fsync(fh.fileno())
+            newest[key[0]] = max(newest.get(key[0], key), key)
+        self._written.clear()
+        for key in [k for k in self._files if newest.get(k[0], k) != k]:
+            self._files.pop(key).close()
 
     def close(self) -> None:
         for fh in self._files.values():
@@ -285,37 +323,29 @@ class StreamEngine:
             return 0
         t_start = time.perf_counter()
 
-        parsed: list[tuple] = []  # (message, arrival, record)
-        bad = 0
-        for msg, arrival in batch:
-            try:
-                record = parse_record(msg.value, "maliot_csv")
-            except ParseError as exc:
-                bad += 1
-                log.debug("skipping %s[%d]@%d: %s",
-                          msg.topic, msg.partition, msg.offset, exc)
-                continue
-            parsed.append((msg, arrival, record))
+        X, rows, ts, devices, errors = decode_batch(
+            [msg.value for msg, _ in batch], codec)
+        for i, exc in errors:
+            msg = batch[i][0]
+            log.debug("skipping %s[%d]@%d: %s", msg.topic, msg.partition, msg.offset, exc)
+        self.metrics.parse_error_reasons.update(exc.reason for _, exc in errors)
 
-        verdicts: list[Verdict] = []
-        if parsed:
-            X, _ = encode_batch([rec for _, _, rec in parsed], codec)
+        latency_us: list[float] = []
+        if rows:
             scores = models.score_batch(model, X)
             anomalous = models.labels_from_scores(model, scores)
             emit_t = time.perf_counter()
-            for (msg, arrival, rec), s, a in zip(parsed, scores, anomalous):
-                verdicts.append(Verdict(
-                    topic=msg.topic, partition=msg.partition, offset=msg.offset,
-                    device_id=rec.device_id, ts=rec.ts,
-                    label="anomaly" if a else "benign", score=float(s),
-                    model_kind=model.kind, model_version=model.version,
-                    latency_us=max((emit_t - arrival) * 1e6, 0.001),
-                ))
-            self.sink.emit(verdicts)
+            kept = [batch[i] for i in rows]
+            partitions = [msg.partition for msg, _ in kept]
+            arrival = np.array([a for _, a in kept], dtype=np.float64)
+            latency_us = np.maximum((emit_t - arrival) * 1e6, 0.001).tolist()
+            self.sink.emit(verdict_lines(
+                self.config.topic, model, partitions,
+                [msg.offset for msg, _ in kept], devices, ts,
+                scores, anomalous, latency_us))
             self.sink.flush()
             if self.persister is not None:
-                for (msg, _, rec) in parsed:
-                    self.persister.append(msg.partition, rec)
+                self.persister.append(partitions, [msg.value for msg, _ in kept], ts)
                 self.persister.flush()
 
         if self.on_before_commit is not None:
@@ -329,11 +359,11 @@ class StreamEngine:
         elapsed = time.perf_counter() - t_start
         m = self.metrics
         m.rows += len(batch)
-        m.verdicts += len(verdicts)
-        m.parse_errors += bad
+        m.verdicts += len(rows)
+        m.parse_errors += len(errors)
         m.batches += 1
         m.batch_stats.append((len(batch), elapsed))
-        m.latencies_us.extend(v.latency_us for v in verdicts)
+        m.latencies_us.extend(latency_us)
         return len(batch)
 
     def run(self, max_cycles: int | None = None, idle_limit: int | None = None,

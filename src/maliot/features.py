@@ -54,24 +54,15 @@ def numeric_feature_names(feature_set: str) -> tuple[str, ...]:
 
 def _numeric_columns(records: list[FlowRecord], feature_set: str) -> np.ndarray:
     """Raw numeric matrix (n, k) with NaN for missing values."""
-    nan = float("nan")
-    cols = []
-    if feature_set == "full":
-        cols.append([hash_to_unit(r.src_ip) for r in records])
-        cols.append([float(is_private_ip(r.src_ip)) for r in records])
-        cols.append([float(r.src_port) for r in records])
-        cols.append([hash_to_unit(r.dst_ip) for r in records])
-        cols.append([float(is_private_ip(r.dst_ip)) for r in records])
-        cols.append([float(r.dst_port) for r in records])
-    cols.append([nan if r.duration is None else float(r.duration) for r in records])
-    cols.append([nan if r.orig_bytes is None else float(r.orig_bytes) for r in records])
-    cols.append([nan if r.resp_bytes is None else float(r.resp_bytes) for r in records])
-    cols.append([float(r.missed_bytes) for r in records])
-    cols.append([float(r.orig_pkts) for r in records])
-    cols.append([float(r.orig_ip_bytes) for r in records])
-    cols.append([float(r.resp_pkts) for r in records])
-    cols.append([float(r.resp_ip_bytes) for r in records])
-    return np.array(cols, dtype=np.float64).T
+    def column(name: str) -> list[float]:
+        if name.endswith(("_hash", "_private")):
+            ip, kind = name.rsplit("_", 1)
+            fn = hash_to_unit if kind == "hash" else is_private_ip
+            return [float(fn(getattr(r, ip))) for r in records]
+        values = [getattr(r, name) for r in records]
+        return [float("nan") if v is None else float(v) for v in values]
+    return np.array([column(f) for f in numeric_feature_names(feature_set)],
+                    dtype=np.float64).T
 
 
 @dataclass
@@ -174,33 +165,35 @@ def encode_batch(records: list[FlowRecord], codec: FeatureCodec):
     """
     records = list(records)
     n = len(records)
-    k = len(codec.numeric_means)
-    X = np.zeros((n, codec.width), dtype=np.float64)
-    if n == 0:
-        return X, np.zeros(0, dtype=np.int8)
-
-    raw = _numeric_columns(records, codec.feature_set)
-    z = (raw - codec.numeric_means) / codec.numeric_stddevs
-    X[:, :k] = np.nan_to_num(z, nan=0.0, posinf=0.0, neginf=0.0)
-
-    rows = np.arange(n)
-    pi, si, ci = codec._proto_idx, codec._service_idx, codec._state_idx
-    p_other = pi["other"]
-    s_other = si["other"]
-    c_other = ci["other"]
-    off = k
-    X[rows, off + np.fromiter(
-        (pi.get(r.proto, p_other) for r in records), dtype=np.int64, count=n)] = 1.0
-    off += len(codec.vocab_proto)
-    X[rows, off + np.fromiter(
-        (si.get(r.service, s_other) for r in records), dtype=np.int64, count=n)] = 1.0
-    off += len(codec.vocab_service)
-    X[rows, off + np.fromiter(
-        (ci.get(r.conn_state, c_other) for r in records), dtype=np.int64, count=n)] = 1.0
-
+    X = encode_columns(_numeric_columns(records, codec.feature_set),
+                       [r.proto for r in records], [r.service for r in records],
+                       [r.conn_state for r in records], codec)
     y = np.fromiter(
         (UNLABELED if r.label is None else int(r.label == LABEL_ANOMALY)
          for r in records),
         dtype=np.int8, count=n)
     return X, y
 
+
+def encode_columns(raw, protos, services, states, codec: FeatureCodec) -> np.ndarray:
+    """X from the raw numeric matrix (NaN for missing, columns as
+    ``numeric_feature_names``) and the normalized categorical columns."""
+    n = len(protos)
+    k = len(codec.numeric_means)
+    X = np.zeros((n, codec.width), dtype=np.float64)
+    if n == 0:
+        return X
+    z = (raw - codec.numeric_means) / codec.numeric_stddevs
+    z[~np.isfinite(z)] = 0.0
+    X[:, :k] = z
+    rows = np.arange(n)
+    off = k
+    for names, vocab, index in (
+            (protos, codec.vocab_proto, codec._proto_idx),
+            (services, codec.vocab_service, codec._service_idx),
+            (states, codec.vocab_conn_state, codec._state_idx)):
+        other = index["other"]
+        X[rows, off + np.fromiter(
+            (index.get(s, other) for s in names), dtype=np.int64, count=n)] = 1.0
+        off += len(vocab)
+    return X

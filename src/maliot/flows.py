@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -127,58 +128,35 @@ def _norm_label(s: str) -> str | None:
     return LABEL_ANOMALY
 
 
-def _opt_float(s: str, name: str) -> float | None:
-    """Float field where '-'/empty means missing; must be finite and >= 0."""
-    s = s.strip()
-    if s in ("", MISSING):
-        return None
-    try:
-        v = float(s)
-    except ValueError:
-        raise ParseError("bad_numeric", f"{name}={s!r}") from None
-    if not math.isfinite(v) or v < 0:
-        raise ParseError("bad_numeric", f"{name}={s!r} out of range")
-    return v
-
-
-def _opt_int(s: str, name: str) -> int | None:
-    s = s.strip()
-    if s in ("", MISSING):
-        return None
-    try:
-        v = int(float(s))
-    except (ValueError, OverflowError):
-        raise ParseError("bad_numeric", f"{name}={s!r}") from None
-    if v < 0:
-        raise ParseError("bad_numeric", f"{name}={s!r} negative")
-    return v
-
-
-def _count_int(s: str, name: str) -> int:
-    """Count field: '-'/empty collapses to 0."""
-    v = _opt_int(s, name)
-    return 0 if v is None else v
-
-
-def _port(s: str, name: str) -> int:
-    v = _count_int(s, name)
-    if v > 65535:
-        raise ParseError("bad_numeric", f"{name}={s!r} out of range")
-    return v
-
-
 # Years 1-9999 UTC, so time.gmtime() works on every accepted row's ts.
 _TS_MIN, _TS_END = -62135596800.0, 253402300800.0  # 0001-01-01, 10000-01-01
+_TOP = sys.float_info.max
+_COUNT = (True, 0, 0, _TOP)
+# The numeric fields and their rules, shared with the columnar decoder:
+# (read as int(float(s)), what "-"/empty reads as (nan: no value, None:
+# refused), lowest, highest).  Ranges also refuse nan and inf.
+NUMERIC_FIELDS = {
+    "ts": (False, None, _TS_MIN, math.nextafter(_TS_END, 0.0)),
+    "src_port": (True, 0, 0, 65535), "dst_port": (True, 0, 0, 65535),
+    "duration": (False, math.nan, 0, _TOP),
+    "orig_bytes": (True, math.nan, 0, _TOP), "resp_bytes": (True, math.nan, 0, _TOP),
+    "missed_bytes": _COUNT, "orig_pkts": _COUNT, "orig_ip_bytes": _COUNT,
+    "resp_pkts": _COUNT, "resp_ip_bytes": _COUNT,
+}
 
 
-def _ts(s: str) -> float:
+def _number(s: str, name: str):
+    """One numeric field under its NUMERIC_FIELDS rule; None for no value."""
+    whole, missing, low, high = NUMERIC_FIELDS[name]
     s = s.strip()
+    if s in ("", MISSING) and missing is not None:
+        return None if math.isnan(missing) else missing
     try:
-        v = float(s)
-    except ValueError:
-        raise ParseError("bad_numeric", f"ts={s!r}") from None
-    if not _TS_MIN <= v < _TS_END:  # also rejects nan and inf
-        raise ParseError("bad_numeric", f"ts={s!r} out of range")
+        v = int(float(s)) if whole else float(s)
+    except (ValueError, OverflowError):
+        raise ParseError("bad_numeric", f"{name}={s!r}") from None
+    if not low <= v <= high:
+        raise ParseError("bad_numeric", f"{name}={s!r} out of range")
     return v
 
 
@@ -194,24 +172,15 @@ def _split_tsv(line: str) -> list[str]:
 
 
 def _from_mapping(vals: dict[str, str]) -> FlowRecord:
+    numbers = {name: _number(vals[name], name) for name in NUMERIC_FIELDS}
     src_ip = vals["src_ip"].strip()
     return FlowRecord(
-        ts=_ts(vals["ts"]),
+        **numbers,
         src_ip=src_ip,
-        src_port=_port(vals["src_port"], "src_port"),
         dst_ip=vals["dst_ip"].strip(),
-        dst_port=_port(vals["dst_port"], "dst_port"),
         proto=_norm_proto(vals["proto"]),
         service=_norm_service(vals["service"]),
-        duration=_opt_float(vals["duration"], "duration"),
-        orig_bytes=_opt_int(vals["orig_bytes"], "orig_bytes"),
-        resp_bytes=_opt_int(vals["resp_bytes"], "resp_bytes"),
         conn_state=_norm_conn_state(vals["conn_state"]),
-        missed_bytes=_count_int(vals["missed_bytes"], "missed_bytes"),
-        orig_pkts=_count_int(vals["orig_pkts"], "orig_pkts"),
-        orig_ip_bytes=_count_int(vals["orig_ip_bytes"], "orig_ip_bytes"),
-        resp_pkts=_count_int(vals["resp_pkts"], "resp_pkts"),
-        resp_ip_bytes=_count_int(vals["resp_ip_bytes"], "resp_ip_bytes"),
         label=_norm_label(vals.get("label", MISSING)),
         # flow sources carry no device identity; the originator address
         # stands in for it (one address per device behind the gateway)
@@ -232,6 +201,11 @@ _IOT23_RENAME = {
 
 
 def _split_csv(line: str) -> list[str]:
+    """The fields of one CSV row.  A row is one physical line: one trailing
+    terminator is dropped, and any other line break is malformed."""
+    line = line.removesuffix("\n").removesuffix("\r")
+    if "\n" in line or "\r" in line:
+        raise ParseError("malformed_row", "line break inside a row")
     try:
         return next(csv.reader(io.StringIO(line)))
     except (csv.Error, StopIteration):
@@ -246,42 +220,21 @@ def parse_record(line: str, dialect: str, columns: tuple[str, ...] | None = None
     with reason ``malformed_row`` or ``bad_numeric``.
     """
     if dialect == "iot23_conn_log":
-        fields = _split_tsv(line)
-        cols = columns or IOT23_COLUMNS
-        if len(fields) != len(cols):
-            raise ParseError(
-                "malformed_row", f"expected {len(cols)} fields, got {len(fields)}")
-        raw = dict(zip(cols, fields))
-        vals = {_IOT23_RENAME.get(k, k): v for k, v in raw.items()}
-        return _from_mapping(vals)
-
-    if dialect == "ton_iot_csv":
-        fields = _split_csv(line)
-        cols = columns or TON_IOT_COLUMNS
-        if len(fields) != len(cols):
-            raise ParseError(
-                "malformed_row", f"expected {len(cols)} fields, got {len(fields)}")
-        raw = dict(zip(cols, fields))
-        vals = {_TON_RENAME.get(k, k): v for k, v in raw.items()}
-        missing = [c for c in ("ts", "src_ip", "src_port", "dst_ip", "dst_port",
-                               "proto", "service", "duration", "orig_bytes",
-                               "resp_bytes", "conn_state", "missed_bytes",
-                               "orig_pkts", "orig_ip_bytes", "resp_pkts",
-                               "resp_ip_bytes") if c not in vals]
-        if missing:
-            raise ParseError("malformed_row", f"missing columns {missing}")
-        return _from_mapping(vals)
-
-    if dialect == "maliot_csv":
-        fields = _split_csv(line)
-        if len(fields) != len(MALIOT_CSV_COLUMNS):
-            raise ParseError(
-                "malformed_row",
-                f"expected {len(MALIOT_CSV_COLUMNS)} fields, got {len(fields)}")
-        vals = dict(zip(MALIOT_CSV_COLUMNS, fields))
-        return _from_mapping(vals)
-
-    raise ValueError(f"unknown dialect {dialect!r}")
+        fields, cols, rename = _split_tsv(line), columns or IOT23_COLUMNS, _IOT23_RENAME
+    elif dialect == "ton_iot_csv":
+        fields, cols, rename = _split_csv(line), columns or TON_IOT_COLUMNS, _TON_RENAME
+    elif dialect == "maliot_csv":
+        fields, cols, rename = _split_csv(line), MALIOT_CSV_COLUMNS, {}
+    else:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    if len(fields) != len(cols):
+        raise ParseError(
+            "malformed_row", f"expected {len(cols)} fields, got {len(fields)}")
+    vals = {rename.get(k, k): v for k, v in zip(cols, fields)}
+    missing = [c for c in MALIOT_CSV_COLUMNS[:16] if c not in vals]  # flow fields
+    if missing:
+        raise ParseError("malformed_row", f"missing columns {missing}")
+    return _from_mapping(vals)
 
 
 def _fmt_opt(v) -> str:
@@ -293,7 +246,8 @@ def _fmt_opt(v) -> str:
 
 
 def format_row(r: FlowRecord) -> str:
-    """Serialize one record as a maliot_csv data row (no newline)."""
+    """Serialize one record as a maliot_csv data row (no newline); a line
+    break in a text field raises ValueError, as the row could not be read."""
     dur = MISSING if r.duration is None else repr(float(r.duration))
     cells = (
         repr(float(r.ts)), r.src_ip, str(r.src_port), r.dst_ip, str(r.dst_port),
@@ -304,7 +258,10 @@ def format_row(r: FlowRecord) -> str:
     )
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(cells)
-    return buf.getvalue()
+    row = buf.getvalue()
+    if "\n" in row or "\r" in row:
+        raise ValueError(f"a line break in a field would split the row: {row!r}")
+    return row
 
 
 def write_records(records, path) -> int:

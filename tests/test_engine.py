@@ -1,8 +1,10 @@
 """Streaming engine: conservation, at-least-once, hot swap, retrain."""
 
+import dataclasses
 import json
 import logging
 import os
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from maliot.errors import (
     VersionRegressionError,
 )
 from maliot.features import encode_batch, fit_codec
-from maliot.flows import format_row, read_dataset
+from maliot.flows import MALIOT_CSV_HEADER, format_row, read_dataset
 
 from conftest import make_record
 
@@ -119,6 +121,7 @@ def test_malformed_rows_skipped_and_committed(tmp_path, small_corpus):
     engine.close()
     assert engine.metrics.verdicts == 40
     assert engine.metrics.parse_errors == 10
+    assert engine.metrics.summary()["parse_error_reasons"] == {"malformed_row": 10}
     # bad rows advance offsets too: nothing left pending
     assert sum(broker.committed("engine", "flows").values()) == 50
     broker.close()
@@ -142,6 +145,7 @@ def test_poison_timestamp_counts_as_parse_error_and_commits(
     engine.close()
     assert engine.metrics.verdicts == 20
     assert engine.metrics.parse_errors == 1
+    assert engine.metrics.parse_error_reasons == {"bad_numeric": 1}
     assert broker.committed("engine", "flows") == {0: 21}
     kept = [r for f in os.listdir(persist)
             for r in read_dataset(os.path.join(persist, f), "maliot_csv")[0]]
@@ -371,6 +375,71 @@ def test_persisted_rows_survive_and_retrain_matches_offline(
     assert np.array_equal(models.score_batch(model, q),
                           models.score_batch(offline, q))
     assert model.version == 2
+
+
+def test_rows_are_persisted_as_received(tmp_path, small_corpus):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 2)
+    values = [format_row(r) for r in small_corpus[:60]]
+    values[3] = values[3].replace(",", " , ", 4)         # padding
+    values[4] = values[4] + "\r\n"                     # one terminator
+    values[5] = values[5].replace(",SF,", ", SF ,", 1)
+    values[6] = values[6].replace(",0,", ",0.0,", 1)
+    values[7] = values[7] + "\nGARBAGE,x"               # two lines: refused
+    for v in values:
+        broker.produce("flows", "k", v)
+    model_path = _trained_model(small_corpus, tmp_path)
+    persist = tmp_path / "persist"
+    engine = _engine(broker, model_path, tmp_path, persist_dir=str(persist))
+    engine.run(idle_limit=2)
+    engine.close()
+    broker.close()
+    assert engine.metrics.parse_error_reasons == {"malformed_row": 1}
+    [name] = os.listdir(persist)
+    with open(persist / name, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    accepted = [v.rstrip("\r\n") for i, v in enumerate(values) if i != 7]
+    assert lines == [MALIOT_CSV_HEADER] + accepted + [""]
+    kept, _ = read_dataset(persist / name, "maliot_csv")
+    assert kept == [r for i, r in enumerate(small_corpus[:60]) if i != 7]
+
+
+def _open_path(fd):
+    try:
+        return os.readlink(f"/proc/self/fd/{fd}")
+    except OSError:  # the fd listdir itself used
+        return ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_persister_keeps_one_file_per_partition_open(tmp_path, small_corpus,
+                                                     monkeypatch):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 2)
+    model_path = _trained_model(small_corpus, tmp_path)
+    persist = str(tmp_path / "persist")
+    engine = _engine(broker, model_path, tmp_path, persist_dir=persist)
+
+    def in_persist(paths):
+        return sorted(os.path.basename(p) for p in paths if p.startswith(persist))
+
+    synced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: (synced.append(_open_path(fd)), fsync(fd))[1])
+    for hour in range(30):
+        ts = 1.6e9 + 3600 * hour
+        for j, key in enumerate(("a", "b", "c", "d")):  # both partitions
+            r = dataclasses.replace(small_corpus[hour * 4 + j], ts=ts + j)
+            broker.produce("flows", key, format_row(r))
+        synced.clear()
+        assert engine.run_cycle() == 4
+        stamp = time.strftime("%Y%m%d%H", time.gmtime(ts))
+        assert in_persist(synced) == [f"flows-0-{stamp}.csv", f"flows-1-{stamp}.csv"]
+        assert len(in_persist(map(_open_path, os.listdir("/proc/self/fd")))) <= 2
+    engine.close()
+    broker.close()
+    assert len(os.listdir(persist)) == 60
 
 
 def test_unlabeled_rows_score_but_are_dropped_from_retraining(

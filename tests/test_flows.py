@@ -143,6 +143,27 @@ def test_bad_rows_raise_parse_error(mutate):
         parse_record(mutate(row), "maliot_csv")
 
 
+@pytest.mark.parametrize("dialect, row", [
+    ("maliot_csv", format_row(make_record())),
+    ("ton_iot_csv", TON_ROW),
+], ids=["maliot_csv", "ton_iot_csv"])
+def test_a_row_is_one_physical_line(dialect, row):
+    for end in ("", "\n", "\r\n", "\r"):
+        assert parse_record(row + end, dialect) == parse_record(row, dialect)
+    for broken in (row + "\nGARBAGE,x", row + "\n\n", row[:9] + "\r" + row[9:],
+                   row + "\r\r\n"):
+        with pytest.raises(ParseError) as err:
+            parse_record(broken, dialect)
+        assert err.value.reason == "malformed_row"
+
+
+@pytest.mark.parametrize("field", ["device_id", "src_ip", "label"])
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+def test_format_row_refuses_a_line_break(field, brk):
+    with pytest.raises(ValueError):
+        format_row(make_record(**{field: f"dev{brk}0"}))
+
+
 @pytest.mark.parametrize("ts, ok", [
     ("-62135596800.0", True),    # 0001-01-01T00:00:00Z
     ("-62135596800.5", False),
@@ -197,6 +218,16 @@ def test_sniff_dialect(tmp_path):
         records, stats = read_dataset(p, want[name])
         assert stats.rows_ok == 1, name
         assert records[0].src_ip == "10.0.0.10"
+
+
+def test_header_without_a_flow_column_rejects_rows(tmp_path):
+    cols = [c for c in IOT23_COLUMNS if c != "duration"]
+    row = "\t".join(f for c, f in zip(IOT23_COLUMNS, ZEEK_ROW.split("\t"))
+                    if c != "duration")
+    p = tmp_path / "noduration.log"
+    p.write_text("#fields\t" + "\t".join(cols) + "\n" + row + "\n")
+    records, stats = read_dataset(p, "iot23_conn_log")
+    assert records == [] and stats.rows_rejected == 1
 
 
 def test_zeek_header_declares_column_order(tmp_path):
