@@ -1,7 +1,7 @@
 """Partitioned at-least-once broker: core, TCP server, and clients."""
 
 from .client import InProcClient, TcpClient
-from .core import Broker, BrokerConfig, Message, partition_for_key
+from .core import Broker, BrokerConfig, Run, partition_for_key
 from .server import BrokerServer
 
 __all__ = [
@@ -10,6 +10,6 @@ __all__ = [
     "BrokerServer",
     "InProcClient",
     "TcpClient",
-    "Message",
+    "Run",
     "partition_for_key",
 ]

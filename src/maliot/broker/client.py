@@ -3,7 +3,8 @@
 Both expose the same calls (create_topic, produce, subscribe, poll, commit,
 leave) with the same error behavior, so everything downstream takes "a
 client" and never cares which transport is underneath.  Both keep their
-read positions here, in the client; the broker keeps none.
+read positions here, in the client, and advance each past the end of the
+Run that ``poll`` returns for it (see core.py); the broker keeps none.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import socket
 import time
 
 from ..errors import ERROR_REGISTRY, BrokerUnreachableError, MaliotError
-from .core import Broker, Message
+from .core import Broker, Run
 from .protocol import (
     OP_ACK,
     OP_COMMIT,
@@ -49,17 +50,17 @@ class _PositionKeeper:
         self._membership("leave", group, topic)
 
     def poll(self, group: str, topic: str, max_messages: int = 100,
-             timeout_ms: float = 0.0) -> list[Message]:
+             timeout_ms: float = 0.0) -> list[Run]:
         pos = self._positions.setdefault((group, topic), {})
-        msgs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms)
+        runs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms)
         for p in set(pos).difference(assigned):
             del pos[p]
-        for m in msgs:
-            pos[m.partition] = m.offset + 1
+        for run in runs:
+            pos[run.partition] = run.offset + len(run.values)
         if pos:  # rotate, so the next capped fetch starts elsewhere
             first = next(iter(pos))
             pos[first] = pos.pop(first)
-        return msgs
+        return runs
 
     def __enter__(self):
         return self
@@ -175,7 +176,7 @@ class TcpClient(_PositionKeeper):
             "positions": positions, "max_messages": max_messages,
             "timeout_ms": timeout_ms,
         })
-        return [Message(**m) for m in r["messages"]], r["assigned"]
+        return [Run(*run) for run in r["runs"]], r["assigned"]
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         self._call(OP_COMMIT, {

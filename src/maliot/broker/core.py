@@ -5,7 +5,8 @@ partition crc32(key) mod N, getting the next contiguous offset; consumer
 groups own a committed offset per partition, and anything at or past the
 committed mark is redelivered after a restart.  The broker keeps no read
 position: each fetch names the offset every partition starts from, and
-the client keeps those positions (see client.py).
+returns one Run per partition read, with no object per row; the client
+keeps the positions (see client.py).
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ _TOPIC_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 FSYNC_POLICIES = ("every_message", "interval")
 
 
-class Message(NamedTuple):
-    topic: str
+class Run(NamedTuple):
+    """Consecutive rows of one partition; row i sits at ``offset + i``."""
     partition: int
     offset: int
-    key: str
-    value: str
+    keys: list[str]
+    values: list[str]
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,12 @@ def _atomic_write_json(path: str, doc) -> None:
 
 
 class _Partition:
-    """One append-only log: in-memory rows plus the file that backs them."""
+    """One append-only log: keys and values in memory (offset = index) plus its file."""
 
     def __init__(self, path: str):
         self.path = path
-        self.rows: list[tuple[str, str]] = []  # (key, value); offset = index
+        self.keys: list[str] = []
+        self.values: list[str] = []
         self._fh = None
         self._last_sync = 0.0
         self._recover()
@@ -86,11 +88,13 @@ class _Partition:
                         break  # torn final write
                     try:
                         doc = json.loads(line)
-                        if doc["offset"] != len(self.rows):
+                        if doc["offset"] != len(self.values):
                             break
-                        self.rows.append((doc["key"], doc["value"]))
+                        key, value = doc["key"], doc["value"]
                     except (ValueError, KeyError, TypeError):
                         break
+                    self.keys.append(key)
+                    self.values.append(value)
                     good_end += len(line)
             size = os.path.getsize(self.path)
             if good_end != size:
@@ -99,7 +103,7 @@ class _Partition:
         self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, key: str, value: str, fsync_now: bool) -> int:
-        offset = len(self.rows)
+        offset = len(self.values)
         line = json.dumps(
             {"offset": offset, "key": key, "value": value},
             separators=(",", ":"),
@@ -109,7 +113,8 @@ class _Partition:
         if fsync_now:
             os.fsync(self._fh.fileno())
             self._last_sync = time.monotonic()
-        self.rows.append((key, value))
+        self.keys.append(key)
+        self.values.append(value)
         return offset
 
     def maybe_sync(self, interval_s: float) -> None:
@@ -169,19 +174,13 @@ class Broker:
             with open(self._offsets_path, encoding="utf-8") as fh:
                 for gid, topics in json.load(fh).items():
                     self._committed[gid] = {
-                        t: {int(p): min(o, len(self._topics[t][int(p)].rows))
+                        t: {int(p): min(o, len(self._topics[t][int(p)].values))
                             for p, o in offs.items()}
                         for t, offs in topics.items()
                     }
 
     def _log_path(self, topic: str, partition: int) -> str:
         return os.path.join(self.config.data_dir, f"{topic}-{partition}.log")
-
-    def _save_topics(self) -> None:
-        _atomic_write_json(
-            self._topics_path,
-            {name: len(parts) for name, parts in self._topics.items()},
-        )
 
     # -- topics -----------------------------------------------------------
 
@@ -196,7 +195,7 @@ class Broker:
             self._topics[name] = [
                 _Partition(self._log_path(name, p)) for p in range(partition_count)
             ]
-            self._save_topics()
+            _atomic_write_json(self._topics_path, self.topics())
 
     def _parts(self, topic: str) -> list[_Partition]:
         try:
@@ -214,7 +213,7 @@ class Broker:
 
     def partition_length(self, topic: str, partition: int) -> int:
         with self._lock:
-            return len(self._parts(topic)[partition].rows)
+            return len(self._parts(topic)[partition].values)
 
     # -- produce ----------------------------------------------------------
 
@@ -224,7 +223,7 @@ class Broker:
         Only groups that subscribed to or committed on ``topic`` count; with
         none, the whole partition is in flight.
         """
-        length = len(self._topics[topic][partition].rows)
+        length = len(self._topics[topic][partition].values)
         groups = {g for g, t in self._members if t == topic}
         groups.update(g for g, topics in self._committed.items() if topic in topics)
         floor = min((self._committed.get(g, {}).get(topic, {}).get(partition, 0)
@@ -247,8 +246,7 @@ class Broker:
                 self._space_freed.wait(remaining)
                 self._parts(topic)  # re-raise if topic vanished
             part = parts[partition]
-            msg = Message(topic, partition, len(part.rows), key, value)
-            if not protocol.fits_a_poll_reply(msg, len(parts)):
+            if not protocol.fits_a_poll_reply(key, value, len(parts)):
                 # it could never be fetched over TCP, and would wedge the partition
                 raise MessageTooLargeError(f"{topic}[{partition}] message of "
                                            f"{len(value)} chars fits no POLL reply")
@@ -284,16 +282,16 @@ class Broker:
 
     def fetch(self, group_id: str, topic: str, positions: dict[int, int],
               max_messages: int = 100, timeout_ms: float = 0.0,
-              consumer_id: str = "_default") -> tuple[list[Message], list[int]]:
-        """Read up to max_messages from this consumer's partitions.
+              consumer_id: str = "_default") -> tuple[list[Run], list[int]]:
+        """Read up to max_messages rows from this consumer's partitions.
 
         Each assigned partition starts at ``positions[p]``, or at the
         group's committed offset when the caller names none.  Unnamed
         partitions are read first, then named ones in the caller's order,
         so a client that rotates its positions gets fair turns under the
-        cap.  Blocks up to timeout_ms for the first message; an empty list
-        on timeout is normal.  Returns the messages and the partitions
-        currently assigned to this consumer.  Keeps no read state.
+        cap.  Blocks up to timeout_ms for the first row; an empty list on
+        timeout is normal.  Returns a Run per partition read, in that order,
+        and the partitions now assigned to this consumer.  Keeps no state.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
         with self._lock:
@@ -303,18 +301,20 @@ class Broker:
                 committed = self._committed.get(group_id, {}).get(topic, {})
                 order = [p for p in assigned if p not in positions]
                 order += [p for p in positions if p in assigned]
-                batch: list[Message] = []
+                runs, room = [], max_messages
                 for p in order:
-                    rows = parts[p].rows
+                    keys, values = parts[p].keys, parts[p].values
                     start = positions.get(p, committed.get(p, 0))
-                    if not 0 <= start <= len(rows):
+                    if not 0 <= start <= len(values):
                         raise OffsetOutOfRangeError(
-                            f"{topic}[{p}] position {start} > high water {len(rows)}"
+                            f"{topic}[{p}] position {start} > high water {len(values)}"
                         )
-                    end = min(len(rows), start + max_messages - len(batch))
-                    batch += [Message(topic, p, o, *rows[o]) for o in range(start, end)]
-                if batch:
-                    return batch, assigned
+                    end = min(len(values), start + room)
+                    if end > start:
+                        runs.append(Run(p, start, keys[start:end], values[start:end]))
+                        room -= end - start
+                if runs:
+                    return runs, assigned
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return [], assigned
@@ -327,9 +327,9 @@ class Broker:
             for p, off in offsets.items():
                 if not 0 <= p < len(parts):
                     raise OffsetOutOfRangeError(f"partition {p}")
-                if not 0 <= off <= len(parts[p].rows):
+                if not 0 <= off <= len(parts[p].values):
                     raise OffsetOutOfRangeError(
-                        f"{topic}[{p}] offset {off} > high water {len(parts[p].rows)}"
+                        f"{topic}[{p}] offset {off} > high water {len(parts[p].values)}"
                     )
             topic_offsets = self._committed.setdefault(group_id, {}).setdefault(topic, {})
             for p, off in offsets.items():

@@ -43,43 +43,40 @@ def encode_frame(opcode: int, body: dict) -> bytes:
 
 
 def encode_ack(body: dict) -> bytes:
-    """ACK frame; a POLL reply's ``messages`` are halved until it fits.
+    """ACK frame; a POLL reply's ``runs`` are cut to their first half of
+    rows until it fits.
 
     The client advances only past what it receives, so the rest comes with
-    its next fetch.  A first message that fits no frame raises ProtocolError.
+    its next fetch.  A first row that fits no frame raises ProtocolError.
     """
     while True:
         data = _json(body)
-        messages = body.get("messages", ())
-        if 1 + len(data) <= MAX_FRAME or len(messages) <= 1:
+        runs = body.get("runs", ())
+        n = sum(len(run[3]) for run in runs)
+        if 1 + len(data) <= MAX_FRAME or n <= 1:
             return _frame(OP_ACK, data)
-        body = {**body, "messages": messages[:len(messages) // 2]}
+        n, cut = n // 2, []
+        for partition, offset, keys, values in runs:
+            if n > 0:
+                cut.append([partition, offset, keys[:n], values[:n]])
+            n -= len(values)
+        body = {**body, "runs": cut}
 
 
-def poll_reply(messages, assigned: list[int]) -> dict:
-    """A POLL ACK body: the messages, then the consumer's partitions."""
-    return {
-        "messages": [
-            {"topic": m.topic, "partition": m.partition,
-             "offset": m.offset, "key": m.key, "value": m.value}
-            for m in messages
-        ],
-        "assigned": assigned,
-    }
+def fits_a_poll_reply(key: str, value: str, partitions: int) -> bool:
+    """Whether a POLL reply carrying only this row fits MAX_FRAME.
 
-
-def fits_a_poll_reply(message, partitions: int) -> bool:
-    """Whether a POLL reply carrying only ``message`` fits MAX_FRAME.
-
-    The reply is sized for a consumer that owns all ``partitions``.  JSON
-    escapes a char to at most 12 bytes (a non-BMP one as two \\uXXXX), and
-    the rest of the reply takes under 128 bytes plus 64 per partition, so
-    only a message near the cap pays for an exact encode.
+    The reply is sized for a consumer that owns all ``partitions``, the
+    row sitting in the last one at offset 2**63 - 1, which no log reaches,
+    so it holds wherever the row lands.  JSON escapes a char to at most
+    12 bytes (a non-BMP one as two \\uXXXX), and the rest takes under 128
+    bytes plus 64 per partition, so only a row near the cap pays for an
+    exact encode.
     """
-    chars = len(message.topic) + len(message.key) + len(message.value)
-    if 12 * chars + 128 + 64 * partitions <= MAX_FRAME:
+    if 12 * (len(key) + len(value)) + 128 + 64 * partitions <= MAX_FRAME:
         return True
-    body = poll_reply([message], list(range(partitions)))
+    body = {"runs": [[partitions - 1, 2**63 - 1, [key], [value]]],
+            "assigned": list(range(partitions))}
     return 1 + len(_json(body)) <= MAX_FRAME
 
 

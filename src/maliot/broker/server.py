@@ -17,7 +17,6 @@ from .protocol import (
     ProtocolError,
     encode_ack,
     encode_frame,
-    poll_reply,
     read_frame,
 )
 
@@ -107,21 +106,17 @@ class BrokerServer:
             )
             return {"partition": partition, "offset": offset}
         if opcode == OP_POLL:
-            group = body["group"]
-            topic = body["topic"]
+            group, topic = body["group"], body["topic"]
             consumer = str(body.get("consumer", "_default"))
-            if body.get("subscribe"):
-                self.broker.subscribe(group, topic, consumer)
-                return {}
-            if body.get("leave"):
-                self.broker.leave(group, topic, consumer)
-                return {}
+            for op in ("subscribe", "leave"):
+                if body.get(op):
+                    getattr(self.broker, op)(group, topic, consumer)
+                    return {}
             positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
-            msgs, assigned = self.broker.fetch(
+            runs, assigned = self.broker.fetch(
                 group, topic, positions, int(body.get("max_messages", 100)),
-                float(body.get("timeout_ms", 0.0)), consumer,
-            )
-            return poll_reply(msgs, assigned)
+                float(body.get("timeout_ms", 0.0)), consumer)
+            return {"runs": runs, "assigned": assigned}
         if opcode == OP_COMMIT:
             offsets = {int(p): int(o) for p, o in body["offsets"].items()}
             self.broker.commit(body["group"], body["topic"], offsets)

@@ -125,10 +125,11 @@ def _sim_config(s: Settings, seed: int) -> sim.SimConfig:
     )
 
 
-def _split_addr(addr: str) -> tuple[str, int]:
+def _split_addr(key: str, addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise BadConfigError(f"bad address {addr!r}, want host:port")
+    if not host or not port.isdecimal() or not 1 <= int(port) <= 65535:
+        raise BadConfigError(f"{key}: bad address {addr!r}, want host:port "
+                             "with port 1-65535")
     return host, int(port)
 
 
@@ -151,7 +152,7 @@ def cmd_gen(s: Settings, seed: int) -> int:
             write_records(records, out)
         log.info("wrote %d rows to %s", len(records), out)
     if to_broker:
-        host, port = _split_addr(to_broker)
+        host, port = _split_addr("to-broker", to_broker)
         topic = s.get("topic", "flows")
         with TcpClient(host, port) as client:
             _ensure_topic(client, topic, s.get("partitions", 3, int))
@@ -237,6 +238,9 @@ def cmd_broker(s: Settings, seed: int) -> int:
     data_dir = s.get("data-dir")
     if not data_dir:
         raise BadConfigError("--data-dir is required")
+    port = s.get("port", 9092, int)
+    if not 0 <= port <= 65535:
+        raise BadConfigError(f"port: {port} is outside 0-65535")
     config = BrokerConfig(
         data_dir=data_dir,
         fsync=s.get("fsync", "interval"),
@@ -250,7 +254,7 @@ def cmd_broker(s: Settings, seed: int) -> int:
         server = BrokerServer(
             broker,
             host=s.get("host", "127.0.0.1"),
-            port=s.get("port", 9092, int),
+            port=port,
         )
         with server:
             log.info("broker listening on %s:%d data_dir=%s",
@@ -271,7 +275,7 @@ def _ensure_topic(client, topic: str, partitions: int) -> None:
 
 def cmd_replay(s: Settings, seed: int) -> int:
     del seed
-    host, port = _split_addr(s.get("broker", "127.0.0.1:9092"))
+    host, port = _split_addr("broker", s.get("broker", "127.0.0.1:9092"))
     path = s.get("data")
     dialect = s.get("dialect") or sniff_dialect(path)
     records, stats = read_dataset(path, dialect)
@@ -285,7 +289,7 @@ def cmd_replay(s: Settings, seed: int) -> int:
 
 def cmd_serve(s: Settings, seed: int) -> int:
     del seed
-    host, port = _split_addr(s.get("broker", "127.0.0.1:9092"))
+    host, port = _split_addr("broker", s.get("broker", "127.0.0.1:9092"))
     model_path = s.get("model")
     if not model_path:
         raise BadConfigError("--model is required")

@@ -2,9 +2,10 @@
 
 The commit is always last, after verdicts are out and raw rows are flushed
 to disk, so a crash anywhere in the cycle replays the batch rather than
-losing it.  Verdicts carry (partition, offset) precisely so downstream
-consumers can deduplicate those replays.  ``StreamEngine.run`` is the one
-cycle loop; it also watches the model file for hot swaps when asked.
+losing it.  Verdicts carry (partition, offset), taken from the polled Run,
+so downstream consumers can deduplicate those replays; a partition commits
+its last Run's end.  ``StreamEngine.run`` is the one cycle loop; it also
+watches the model file for hot swaps when asked.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -292,42 +294,45 @@ class StreamEngine:
 
     # -- the micro-batch loop ---------------------------------------------
 
-    def _collect(self) -> list[tuple]:
-        """Poll until the interval closes or the row cap fills.
-
-        Returns (message, arrival perf_counter) pairs; arrival feeds the
-        per-verdict latency figure.
-        """
+    def _collect(self) -> tuple[list, list[float]]:
+        """Poll until the interval closes or the row cap fills; returns the
+        runs and, per run, the perf_counter at which its reply arrived, which
+        feeds the per-verdict latency figure."""
         cfg = self.config
-        out: list[tuple] = []
+        runs, arrivals, n = [], [], 0
         deadline = time.perf_counter() + cfg.batch_interval_ms / 1000.0
-        while len(out) < cfg.max_batch_rows:
+        while n < cfg.max_batch_rows:
             remaining_ms = (deadline - time.perf_counter()) * 1000.0
             if remaining_ms <= 0:
                 break
-            msgs = self.client.poll(
-                cfg.group, cfg.topic, cfg.max_batch_rows - len(out), remaining_ms
-            )
-            if not msgs:
+            got = self.client.poll(cfg.group, cfg.topic, cfg.max_batch_rows - n,
+                                   remaining_ms)
+            if not got:
                 break
-            arrival = time.perf_counter()
-            out.extend((m, arrival) for m in msgs)
-        return out
+            arrivals += [time.perf_counter()] * len(got)
+            runs += got
+            n += sum(len(run.values) for run in got)
+        return runs, arrivals
 
     def run_cycle(self) -> int:
         """One micro-batch; returns the number of rows consumed."""
         self._apply_pending()
         model, codec = self.model, self.codec
-        batch = self._collect()
-        if not batch:
+        runs, arrivals = self._collect()
+        if not runs:
             return 0
         t_start = time.perf_counter()
 
-        X, rows, ts, devices, errors = decode_batch(
-            [msg.value for msg, _ in batch], codec)
+        values = list(chain.from_iterable(run.values for run in runs))
+        lengths = [len(run.values) for run in runs]
+        partitions = np.repeat([run.partition for run in runs], lengths)
+        offsets = np.concatenate([np.arange(run.offset, run.offset + n)
+                                  for run, n in zip(runs, lengths)])
+
+        X, rows, ts, devices, errors = decode_batch(values, codec)
         for i, exc in errors:
-            msg = batch[i][0]
-            log.debug("skipping %s[%d]@%d: %s", msg.topic, msg.partition, msg.offset, exc)
+            log.debug("skipping %s[%d]@%d: %s", self.config.topic,
+                      partitions[i], offsets[i], exc)
         self.metrics.parse_error_reasons.update(exc.reason for _, exc in errors)
 
         latency_us: list[float] = []
@@ -335,36 +340,33 @@ class StreamEngine:
             scores = models.score_batch(model, X)
             anomalous = models.labels_from_scores(model, scores)
             emit_t = time.perf_counter()
-            kept = [batch[i] for i in rows]
-            partitions = [msg.partition for msg, _ in kept]
-            arrival = np.array([a for _, a in kept], dtype=np.float64)
+            kept = partitions[rows].tolist()
+            arrival = np.repeat(arrivals, lengths)[rows]
             latency_us = np.maximum((emit_t - arrival) * 1e6, 0.001).tolist()
             self.sink.emit(verdict_lines(
-                self.config.topic, model, partitions,
-                [msg.offset for msg, _ in kept], devices, ts,
-                scores, anomalous, latency_us))
+                self.config.topic, model, kept, offsets[rows].tolist(),
+                devices, ts, scores, anomalous, latency_us))
             self.sink.flush()
             if self.persister is not None:
-                self.persister.append(partitions, [msg.value for msg, _ in kept], ts)
+                self.persister.append(kept, [values[i] for i in rows], ts)
                 self.persister.flush()
 
         if self.on_before_commit is not None:
             self.on_before_commit(self)
 
-        offsets: dict[int, int] = {}
-        for msg, _ in batch:
-            offsets[msg.partition] = max(offsets.get(msg.partition, -1), msg.offset + 1)
-        self.client.commit(self.config.group, self.config.topic, offsets)
+        # a partition's runs arrive in offset order, so its last run ends it
+        ends = {run.partition: run.offset + len(run.values) for run in runs}
+        self.client.commit(self.config.group, self.config.topic, ends)
 
         elapsed = time.perf_counter() - t_start
         m = self.metrics
-        m.rows += len(batch)
+        m.rows += len(values)
         m.verdicts += len(rows)
         m.parse_errors += len(errors)
         m.batches += 1
-        m.batch_stats.append((len(batch), elapsed))
+        m.batch_stats.append((len(values), elapsed))
         m.latencies_us.extend(latency_us)
-        return len(batch)
+        return len(values)
 
     def run(self, max_cycles: int | None = None, idle_limit: int | None = None,
             should_stop=None, watch_model: bool = False) -> EngineMetrics:

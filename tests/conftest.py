@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,21 @@ def make_record(**overrides) -> FlowRecord:
     )
     base.update(overrides)
     return FlowRecord(**base)
+
+
+class Row(NamedTuple):
+    partition: int
+    offset: int
+    key: str
+    value: str
+
+
+def rows(runs) -> list[Row]:
+    """A poll's or fetch's runs as one (partition, offset, key, value) per
+    row, in the order the runs hold them."""
+    return [Row(run.partition, run.offset + i, key, value)
+            for run in runs
+            for i, (key, value) in enumerate(zip(run.keys, run.values))]
 
 
 @pytest.fixture(scope="session")

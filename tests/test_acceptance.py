@@ -28,6 +28,7 @@ from maliot.features import encode_batch, fit_codec
 from maliot.models import MlpConfig, TreeConfig
 from maliot.models.tree import grow_tree
 
+from conftest import rows
 from test_mlp import _numeric_grad, _random_instance, _rel_err
 from test_naive_bayes import oracle_posterior
 from test_tree import OracleTree, oracle_best_split
@@ -284,7 +285,7 @@ def test_acceptance_6_at_least_once(request, tmp_path):
         while sum(b.committed("g", "t").values()) < 1000:
             batch_no += 1
             assert batch_no < 300, "consumer loop failed to converge"
-            msgs = c.poll("g", "t", max_messages=25)
+            msgs = rows(c.poll("g", "t", max_messages=25))
             delivered.extend((m.partition, m.offset, m.key) for m in msgs)
             if batch_no in crash_points:
                 # die between emission and commit, then come back

@@ -17,6 +17,8 @@ from maliot.errors import (
     UnknownTopicError,
 )
 
+from conftest import rows
+
 
 @pytest.fixture
 def broker(tmp_path):
@@ -55,14 +57,14 @@ def test_poll_preserves_partition_order(client):
     client.subscribe("g", "t")
     got = {}
     while True:
-        batch = client.poll("g", "t", max_messages=33)
+        batch = rows(client.poll("g", "t", max_messages=33))
         if not batch:
             break
         for m in batch:
             got.setdefault(m.partition, []).append((m.offset, m.value))
     assert got == sent
-    for p, rows in got.items():
-        assert [o for o, _ in rows] == list(range(len(rows)))  # gap-free
+    for p, pairs in got.items():
+        assert [o for o, _ in pairs] == list(range(len(pairs)))  # gap-free
 
 
 def test_commit_and_resume(broker, client):
@@ -70,12 +72,12 @@ def test_commit_and_resume(broker, client):
     for i in range(10):
         client.produce("t", "k", str(i))
     client.subscribe("g", "t")
-    first = client.poll("g", "t", max_messages=4)
+    first = rows(client.poll("g", "t", max_messages=4))
     client.commit("g", "t", {0: first[-1].offset + 1})
     assert broker.committed("g", "t") == {0: 4}
     # a fresh session resumes exactly at the commit point
     client.subscribe("g", "t")
-    rest = client.poll("g", "t", max_messages=100)
+    rest = rows(client.poll("g", "t", max_messages=100))
     assert [m.value for m in rest] == [str(i) for i in range(4, 10)]
 
 
@@ -84,11 +86,11 @@ def test_uncommitted_messages_redelivered_on_resubscribe(client):
     for i in range(6):
         client.produce("t", "k", str(i))
     client.subscribe("g", "t")
-    seen = client.poll("g", "t", max_messages=100)
+    seen = rows(client.poll("g", "t", max_messages=100))
     assert len(seen) == 6
     # consumer dies without committing; its replacement sees everything again
     client.subscribe("g", "t")
-    again = client.poll("g", "t", max_messages=100)
+    again = rows(client.poll("g", "t", max_messages=100))
     assert [(m.partition, m.offset) for m in again] == \
            [(m.partition, m.offset) for m in seen]
 
@@ -100,8 +102,8 @@ def test_two_consumers_split_partitions_disjointly(broker):
     a, b = InProcClient(broker, "a"), InProcClient(broker, "b")
     a.subscribe("g", "t")
     b.subscribe("g", "t")
-    pa = {m.partition for m in a.poll("g", "t", 1000)}
-    pb = {m.partition for m in b.poll("g", "t", 1000)}
+    pa = {m.partition for m in rows(a.poll("g", "t", 1000))}
+    pb = {m.partition for m in rows(b.poll("g", "t", 1000))}
     assert pa and pb
     assert pa.isdisjoint(pb)
     assert pa | pb == {0, 1, 2, 3}
@@ -115,7 +117,7 @@ def test_single_member_owns_everything_after_peer_leaves(broker):
     b.leave("g", "t")
     for i in range(40):
         broker.produce("t", f"k{i}", str(i))
-    got = a.poll("g", "t", 1000)
+    got = rows(a.poll("g", "t", 1000))
     assert {m.partition for m in got} == {0, 1, 2, 3}
     assert len(got) == 40
 
@@ -125,8 +127,8 @@ def test_groups_are_independent(client):
     client.produce("t", "k", "x")
     client.subscribe("g1", "t")
     client.subscribe("g2", "t")
-    assert len(client.poll("g1", "t", 10)) == 1
-    assert len(client.poll("g2", "t", 10)) == 1  # both groups see the message
+    assert len(rows(client.poll("g1", "t", 10))) == 1
+    assert len(rows(client.poll("g2", "t", 10))) == 1  # both groups see the message
 
 
 def test_restart_preserves_log_and_commits(tmp_path):
@@ -137,7 +139,7 @@ def test_restart_preserves_log_and_commits(tmp_path):
             b.produce("t", f"k{i}", str(i))
         c = InProcClient(b)
         c.subscribe("g", "t")
-        batch = c.poll("g", "t", 7)
+        batch = rows(c.poll("g", "t", 7))
         by_part = {}
         for m in batch:
             by_part[m.partition] = m.offset + 1
@@ -149,7 +151,7 @@ def test_restart_preserves_log_and_commits(tmp_path):
         assert b.committed("g", "t") == committed_before
         c = InProcClient(b)
         c.subscribe("g", "t")
-        rest = c.poll("g", "t", 100)
+        rest = rows(c.poll("g", "t", 100))
         total = sum(committed_before.values()) + len(rest)
         assert total == 20
 
@@ -169,7 +171,7 @@ def test_torn_tail_truncated_on_recovery(tmp_path):
         assert o == 5
         c = InProcClient(b)
         c.subscribe("g", "t")
-        vals = [m.value for m in c.poll("g", "t", 100)]
+        vals = [m.value for m in rows(c.poll("g", "t", 100))]
         assert vals == ["0", "1", "2", "3", "4", "5"]
 
 
@@ -192,7 +194,7 @@ def test_commit_past_recovered_log_is_clamped(tmp_path):
         assert b.produce("t", "k", "new") == (0, 4)
         c = InProcClient(b)
         c.subscribe("g", "t")
-        assert [(m.offset, m.value) for m in c.poll("g", "t", 10)] == [(4, "new")]
+        assert [(m.offset, m.value) for m in rows(c.poll("g", "t", 10))] == [(4, "new")]
 
 
 def test_fetch_starts_where_the_caller_says(broker):
@@ -201,15 +203,15 @@ def test_fetch_starts_where_the_caller_says(broker):
         broker.produce("t", f"k{i}", str(i))
     sizes = [broker.partition_length("t", p) for p in (0, 1)]
     broker.commit("g", "t", {0: 1})
-    msgs, assigned = broker.fetch("g", "t", {1: 2}, 100)
+    runs, assigned = broker.fetch("g", "t", {1: 2}, 100)
     assert assigned == [0, 1]
     got = {}
-    for m in msgs:
+    for m in rows(runs):
         got.setdefault(m.partition, []).append(m.offset)
     assert got[0] == list(range(1, sizes[0]))  # committed offset
     assert got.get(1, []) == list(range(2, sizes[1]))  # caller's position
     # the broker keeps nothing: the same fetch returns the same rows
-    assert broker.fetch("g", "t", {1: 2}, 100) == (msgs, assigned)
+    assert broker.fetch("g", "t", {1: 2}, 100) == (runs, assigned)
     with pytest.raises(OffsetOutOfRangeError):
         broker.fetch("g", "t", {0: sizes[0] + 1}, 100)
 
@@ -219,7 +221,7 @@ def test_capped_polls_take_turns_across_partitions(client):
     for i in range(300):
         client.produce("t", f"k{i}", str(i))
     client.subscribe("g", "t")
-    order = [client.poll("g", "t", max_messages=1)[0].partition for _ in range(9)]
+    order = [rows(client.poll("g", "t", max_messages=1))[0].partition for _ in range(9)]
     assert set(order[:3]) == set(order[3:6]) == set(order[6:]) == {0, 1, 2}
 
 
@@ -229,15 +231,15 @@ def test_rebalance_keeps_positions_in_owned_partitions(broker):
         broker.produce("t", f"k{i}", str(i))
     a, b = InProcClient(broker, "a"), InProcClient(broker, "b")
     a.subscribe("g", "t")
-    first = a.poll("g", "t", 1000)
+    first = rows(a.poll("g", "t", 1000))
     assert {m.partition for m in first} == {0, 1}
     b.subscribe("g", "t")  # takes partition 1; nothing was committed
-    assert a.poll("g", "t", 1000) == []  # a keeps its position in 0
-    got = b.poll("g", "t", 1000)
+    assert rows(a.poll("g", "t", 1000)) == []  # a keeps its position in 0
+    got = rows(b.poll("g", "t", 1000))
     assert {m.partition for m in got} == {1}
     assert got[0].offset == 0  # a moved partition starts at its commit
     b.leave("g", "t")
-    back = a.poll("g", "t", 1000)  # partition 1 returns, from its commit
+    back = rows(a.poll("g", "t", 1000))  # partition 1 returns, from its commit
     assert {m.partition for m in back} == {1}
     assert back[0].offset == 0
 
@@ -254,7 +256,7 @@ def test_backpressure_blocks_then_times_out(tmp_path):
         # consuming frees space for a blocked producer
         c = InProcClient(b)
         c.subscribe("g", "t")
-        got = c.poll("g", "t", 2)
+        got = rows(c.poll("g", "t", 2))
         unblocked = []
 
         def producer():
@@ -278,7 +280,7 @@ def test_backpressure_ignores_groups_on_other_topics(tmp_path):
         c.subscribe("ga", "a")
         for i in range(12):  # well past the backlog, "ga" keeping up
             b.produce("a", "k", str(i))
-            got = c.poll("ga", "a", 10)
+            got = rows(c.poll("ga", "a", 10))
             b.commit("ga", "a", {0: got[-1].offset + 1})
         assert b.partition_length("a", 0) == 12
         # a group that lags on its own topic still holds producers back
@@ -297,7 +299,7 @@ def test_poll_blocks_until_data_arrives(broker, client):
 
     th = threading.Timer(0.05, later)
     th.start()
-    got = client.poll("g", "t", 10, timeout_ms=2000.0)
+    got = rows(client.poll("g", "t", 10, timeout_ms=2000.0))
     th.join()
     assert [m.value for m in got] == ["ping"]
 
@@ -305,7 +307,7 @@ def test_poll_blocks_until_data_arrives(broker, client):
 def test_poll_timeout_returns_empty(client):
     client.create_topic("t", 1)
     client.subscribe("g", "t")
-    assert client.poll("g", "t", 10, timeout_ms=30.0) == []
+    assert rows(client.poll("g", "t", 10, timeout_ms=30.0)) == []
 
 
 def test_error_conditions(broker, tmp_path):

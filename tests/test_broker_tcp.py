@@ -33,6 +33,8 @@ from maliot.errors import (
     UnknownTopicError,
 )
 
+from conftest import rows
+
 
 # -- framing ------------------------------------------------------------------
 
@@ -122,7 +124,7 @@ def _ops(client):
     client.subscribe("g", "t")
     seen = []
     while True:
-        batch = client.poll("g", "t", max_messages=5)
+        batch = rows(client.poll("g", "t", max_messages=5))
         if not batch:
             break
         seen.extend(batch)
@@ -193,8 +195,8 @@ def test_consumer_identity_rides_the_connection(served):
             TcpClient(server.host, server.port, consumer_id="b") as cb:
         ca.subscribe("g", "t")
         cb.subscribe("g", "t")
-        pa = {m.partition for m in ca.poll("g", "t", 100)}
-        pb = {m.partition for m in cb.poll("g", "t", 100)}
+        pa = {m.partition for m in rows(ca.poll("g", "t", 100))}
+        pb = {m.partition for m in rows(cb.poll("g", "t", 100))}
         assert pa.isdisjoint(pb)
         assert pa | pb == {0, 1}
 
@@ -316,14 +318,14 @@ def test_poll_retried_after_a_dropped_reply_returns_the_same_rows(served):
             c.produce("t", f"k{i}", str(i))
         c.subscribe("ref", "t")
         c.poll("ref", "t", 10)
-        want = c.poll("ref", "t", 10)
+        want = rows(c.poll("ref", "t", 10))
 
         c.subscribe("g", "t")
         c.poll("g", "t", 10)
         proxy.drop_next_reply()
         with pytest.raises(BrokerUnreachableError):
             c.poll("g", "t", 10)  # handled by the broker, reply lost
-        assert c.poll("g", "t", 10) == want
+        assert rows(c.poll("g", "t", 10)) == want
 
 
 def test_oversized_reply_is_cut_and_the_poll_is_repeatable(served, monkeypatch):
@@ -334,14 +336,14 @@ def test_oversized_reply_is_cut_and_the_poll_is_repeatable(served, monkeypatch):
         broker.produce("t", "k", f"{i:06d}" + "x" * 144)  # 150 B rows
     with TcpClient(server.host, server.port) as c:
         c.subscribe("g", "t")
-        first = c.poll("g", "t", max_messages=2000)
+        first = rows(c.poll("g", "t", max_messages=2000))
         assert 0 < len(first) < 2000
         assert [m.offset for m in first] == list(range(len(first)))
         with TcpClient(server.host, server.port) as again:
             again.subscribe("g", "t")  # a restarted consumer retries the poll
-            assert again.poll("g", "t", max_messages=2000) == first
+            assert rows(again.poll("g", "t", max_messages=2000)) == first
         got = list(first)
-        while batch := c.poll("g", "t", max_messages=2000):
+        while batch := rows(c.poll("g", "t", max_messages=2000)):
             got.extend(batch)
         assert [m.offset for m in got] == list(range(2000))
 
@@ -368,12 +370,12 @@ def test_message_too_big_for_any_reply_is_refused_at_produce(served, monkeypatch
         broker.produce("t", "k", "\x01" * 3_000_000)  # 18 MB once JSON-escaped
     monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
     with TcpClient(server.host, server.port) as c:
-        # a 995-byte PRODUCE frame whose POLL reply would take 1050 bytes
+        # a 1020-byte PRODUCE frame whose POLL reply would take 1028 bytes
         with pytest.raises(MessageTooLargeError):  # rehydrated over TCP
-            c.produce("t", "k", "x" * 960)
+            c.produce("t", "k", "x" * 985)
         assert c.produce("t", "k", "next") == (0, 0)
         c.subscribe("g", "t")
-        assert [m.value for m in c.poll("g", "t", 10)] == ["next"]
+        assert [m.value for m in rows(c.poll("g", "t", 10))] == ["next"]
 
 
 @pytest.mark.parametrize("char", ["x", "\x01", "\U0001f600"])  # 1, 6, 12 bytes
@@ -382,9 +384,8 @@ def test_largest_message_that_fits_a_reply_round_trips(served, monkeypatch, char
     monkeypatch.setattr(protocol, "MAX_FRAME", 2048)
     broker.create_topic("t", 1)
 
-    def reply_len(n):
-        return _frame_len([{"topic": "t", "partition": 0, "offset": 0,
-                            "key": "k", "value": char * n}], [0])
+    def reply_len(n):  # sized for the row at the largest offset
+        return _frame_len([[0, 2**63 - 1, ["k"], [char * n]]], [0])
 
     n = max(n for n in range(2048) if reply_len(n) <= 2048)
     with TcpClient(server.host, server.port) as c:
@@ -392,36 +393,47 @@ def test_largest_message_that_fits_a_reply_round_trips(served, monkeypatch, char
             c.produce("t", "k", char * (n + 1))
         assert c.produce("t", "k", char * n) == (0, 0)
         c.subscribe("g", "t")
-        assert [m.value for m in c.poll("g", "t", 10)] == [char * n]
+        assert [m.value for m in rows(c.poll("g", "t", 10))] == [char * n]
 
 
-_MESSAGE = st.builds(
-    lambda p, o, key, value: {"topic": "t", "partition": p, "offset": o,
-                              "key": key, "value": value},
-    st.integers(0, 8), st.integers(0, 10**12), st.text(max_size=8),
-    st.text(max_size=120),  # any code point: control, non-BMP, surrogates
+_ROW = st.tuples(st.text(max_size=8),  # any code point: control, non-BMP, surrogates
+                 st.text(max_size=120))
+_RUN = st.builds(
+    lambda p, o, pairs: [p, o, [k for k, _ in pairs], [v for _, v in pairs]],
+    st.integers(0, 8), st.integers(0, 10**12), st.lists(_ROW, min_size=1, max_size=12),
 )
 
 
-def _frame_len(messages, assigned) -> int:
-    body = {"messages": messages, "assigned": assigned}
+def _frame_len(runs, assigned) -> int:
+    body = {"runs": runs, "assigned": assigned}
     return 1 + len(json.dumps(body, separators=(",", ":")).encode())
 
 
-@given(cap=st.integers(64, 3000), messages=st.lists(_MESSAGE, max_size=40))
+def _first(runs, n):
+    """The reply's first n rows, still as runs."""
+    out = []
+    for p, o, keys, values in runs:
+        if n > 0:
+            out.append([p, o, keys[:n], values[:n]])
+        n -= len(values)
+    return out
+
+
+@given(cap=st.integers(64, 3000), runs=st.lists(_RUN, max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_fetch_reply_fits_the_frame_cap(cap, messages):
+def test_fetch_reply_fits_the_frame_cap(cap, runs):
     assigned = [0, 1]
-    longest = max(n for n in range(len(messages) + 1)
-                  if n == 0 or _frame_len(messages[:n], assigned) <= cap)
+    total = sum(len(run[3]) for run in runs)
+    longest = max(n for n in range(total + 1)
+                  if n == 0 or _frame_len(_first(runs, n), assigned) <= cap)
     old = protocol.MAX_FRAME
     protocol.MAX_FRAME = cap
     try:
         try:
-            frame = encode_ack({"messages": messages, "assigned": assigned})
+            frame = encode_ack({"runs": runs, "assigned": assigned})
         except ProtocolError:
-            # only when the first message cannot fit on its own
-            assert messages and longest == 0
+            # only when the first row cannot fit on its own
+            assert runs and longest == 0
             return
         a, b = socket.socketpair()
         try:
@@ -434,17 +446,17 @@ def test_fetch_reply_fits_the_frame_cap(cap, messages):
         protocol.MAX_FRAME = old
     assert opcode == OP_ACK
     assert len(frame) - 4 <= cap
-    n = len(body["messages"])
-    assert body == {"messages": messages[:n], "assigned": assigned}
-    assert n == len(messages) or 2 * n >= longest  # about half of what fits, or more
+    n = sum(len(run[3]) for run in body["runs"])
+    assert body == {"runs": _first(runs, n), "assigned": assigned}
+    assert n == total or 2 * n >= longest  # about half of what fits, or more
 
 
 def test_backfill_sized_reply_fits_one_frame():
     row = ("1600000000.25,10.0.0.10,49152,93.184.216.34,443,tcp,ssl,1.5,512,"
            "2048,SF,0,10,900,12,2500,benign,dev-0")
-    messages = [{"topic": "flows", "partition": i % 3, "offset": i,
-                 "key": "dev-0", "value": row + "x" * 80} for i in range(10_000)]
-    frame = encode_ack({"messages": messages, "assigned": [0, 1, 2]})
+    runs = [[p, 0, ["dev-0"] * n, [row + "x" * 80] * n]
+            for p, n in enumerate((3334, 3333, 3333))]  # 10k rows
+    frame = encode_ack({"runs": runs, "assigned": [0, 1, 2]})
     assert len(frame) > 1_900_000
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4 <= MAX_FRAME

@@ -106,6 +106,28 @@ def test_unreachable_broker_exits_5(tmp_path, capsys):
     assert code == EXIT_NETWORK
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["replay", "--broker", "127.0.0.1:99999", "--data", "missing.csv"], "broker"),
+    (["serve", "--broker", "127.0.0.1:0", "--model", "missing.json"], "broker"),
+    (["replay", "--broker", "127.0.0.1:\u00b2", "--data", "missing.csv"], "broker"),
+    (["gen", "--devices", "1", "--duration", "1",
+      "--to-broker", "127.0.0.1:65536"], "to-broker"),
+])
+def test_broker_address_with_a_bad_port_exits_2(capsys, argv, key):
+    # an unchecked 99999 would reach connect() as 99999 & 0xFFFF = 34463
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert f"maliot: {key}: bad address" in err
+
+
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_broker_listen_port_out_of_range_exits_2(tmp_path, capsys, port):
+    code, _, err = run(["broker", "--data-dir", str(tmp_path / "b"),
+                        "--port", port], capsys)
+    assert code == EXIT_USAGE
+    assert f"maliot: port: {port} is outside 0-65535" in err
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")

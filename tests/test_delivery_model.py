@@ -3,11 +3,11 @@
 A Hypothesis state machine drives a real broker, its TCP server and both
 client kinds through produces, polls, commits, consumer crashes, replies
 lost on the wire, replies cut by the frame cap and broker restarts.  Every
-step is checked against a plain-dict model: the log per partition, and per
-group its committed offsets and its session's read positions.  Group "h"
-consumes another topic beside group "g"; since each group's rows are
-checked against its own topic's model alone, a group on another topic can
-never change what a group receives.
+step is checked against a plain-dict model: the log of (key, value) rows
+per partition, and per group its committed offsets and its session's read
+positions.  Group "h" consumes another topic beside group "g"; since each
+group's rows are checked against its own topic's model alone, a group on
+another topic can never change what a group receives.
 """
 
 import shutil
@@ -33,6 +33,7 @@ from maliot.broker import (
 from maliot.broker import protocol
 from maliot.errors import BrokerUnreachableError
 
+from conftest import rows
 from test_broker_tcp import DroppingProxy
 
 TOPICS = {"t": 3, "u": 2}
@@ -83,19 +84,24 @@ class DeliveryMachine(RuleBasedStateMachine):
 
     def _poll_and_check(self, group, max_messages):
         topic = GROUPS[group]
-        msgs = self.clients[group].poll(group, topic, max_messages)
-        assert len(msgs) <= max_messages
-        unread = any(self.position[group].get(p, 0) < len(rows)
-                     for p, rows in enumerate(self.log[topic]))
-        assert bool(msgs) == unread
-        for m in msgs:
-            assert m.topic == topic
-            # each partition continues exactly at the session's position
-            assert m.offset == self.position[group].get(m.partition, 0)
-            assert m.value == self.log[topic][m.partition][m.offset]
-            self.position[group][m.partition] = m.offset + 1
-            self.delivered[group].add((m.partition, m.offset))
-        return msgs
+        runs = self.clients[group].poll(group, topic, max_messages)
+        assert len(rows(runs)) <= max_messages
+        unread = any(self.position[group].get(p, 0) < len(log)
+                     for p, log in enumerate(self.log[topic]))
+        assert bool(runs) == unread
+        for run in runs:
+            # each run continues its partition exactly at the session's
+            # position, and holds that topic's log from there: a row of
+            # another topic would fail the comparison
+            start = self.position[group].get(run.partition, 0)
+            assert run.offset == start
+            end = start + len(run.values)
+            assert end > start
+            assert list(zip(run.keys, run.values)) == \
+                self.log[topic][run.partition][start:end]
+            self.position[group][run.partition] = end
+            self.delivered[group].update((run.partition, o) for o in range(start, end))
+        return runs
 
     # -- rules ----------------------------------------------------------
 
@@ -107,7 +113,7 @@ class DeliveryMachine(RuleBasedStateMachine):
             p, o = self.clients[group].produce(topic, key, value)
             assert p == partition_for_key(key, TOPICS[topic])
             assert o == len(self.log[topic][p])
-            self.log[topic][p].append(value)
+            self.log[topic][p].append((key, value))
 
     @rule(group=groups, max_messages=st.integers(1, 20))
     def poll(self, group, max_messages):

@@ -186,6 +186,40 @@ def test_crash_before_commit_redelivers(stack, tmp_path, small_corpus):
     assert len(dedup) == len(small_corpus)     # and dedup recovers exactly all
 
 
+def test_a_batch_of_two_polls_commits_the_end_of_the_later_run(
+        tmp_path, small_corpus):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 1)
+    first, later = small_corpus[:5], small_corpus[5:8]
+    for r in first:
+        broker.produce("flows", r.device_id, format_row(r))
+
+    class ProducesAfterFirstPoll(InProcClient):
+        polls = []
+
+        def poll(self, *args, **kwargs):
+            runs = super().poll(*args, **kwargs)
+            self.polls.append([(run.partition, run.offset, len(run.values))
+                               for run in runs])
+            if len(self.polls) == 1:
+                for r in later:
+                    broker.produce("flows", r.device_id, format_row(r))
+            return runs
+
+    client = ProducesAfterFirstPoll(broker)
+    config = EngineConfig(model_path=_trained_model(small_corpus, tmp_path),
+                          sink_path=str(tmp_path / "v.jsonl"),
+                          batch_interval_ms=200.0)
+    engine = StreamEngine(client, config)
+    assert engine.run_cycle() == 8
+    engine.close()
+    assert client.polls[:2] == [[(0, 0, 5)], [(0, 5, 3)]]  # one batch, two runs
+    assert broker.committed("engine", "flows") == {0: 8}
+    verdicts = _read_verdicts(tmp_path / "v.jsonl")
+    assert [v["offset"] for v in verdicts] == list(range(8))
+    broker.close()
+
+
 def test_hot_swap_applies_at_batch_boundary(tmp_path, small_corpus):
     broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
     broker.create_topic("flows", 1)

@@ -9,6 +9,8 @@ from maliot.errors import BadConfigError
 from maliot.features import encode_batch, fit_codec
 from maliot.flows import format_row
 
+from conftest import rows
+
 
 def _cfg(**kw):
     base = dict(n_devices=6, duration_s=6.0, seed=3)
@@ -160,7 +162,7 @@ def test_replay_produces_everything(tmp_path):
         client.subscribe("g", "flows")
         seen = {}
         while True:
-            batch = client.poll("g", "flows", 1000)
+            batch = rows(client.poll("g", "flows", 1000))
             if not batch:
                 break
             for m in batch:
