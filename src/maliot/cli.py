@@ -28,7 +28,8 @@ from .errors import (
     ModelLoadError,
 )
 from .features import encode_batch, fit_codec
-from .flows import read_dataset, sniff_dialect, write_records
+from .flows import (MALIOT_CSV_HEADER, format_row, read_dataset, sniff_dialect,
+                    write_records)
 from .models import LinearConfig, MlpConfig
 
 log = logging.getLogger("maliot")
@@ -39,9 +40,16 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_NETWORK = 5
 
-_KIND_CHOICES = list(models.MODEL_KINDS)
 _FEATURE_ALIASES = {"full": "full", "deid": "de_identified",
                     "de_identified": "de_identified"}
+# Options a config file may not set: a file picks settings, not inputs.
+_FLAG_ONLY = ("config", "data", "create-topic", "experiment")
+# bench experiment -> (device sweep, simulated seconds) when the flags are unset
+_BENCH_CORPUS = {
+    "inference": ([9], 5.0),
+    "accuracy": ([9], 120.0),
+    "scalability": ([1, 3, 5, 7, 9], 2.0),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -65,64 +73,102 @@ def _as_bool(s: str) -> bool:
         return True
     if s.lower() in ("0", "false", "no", "off"):
         return False
-    raise BadConfigError(f"not a boolean: {s!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {s!r}")
 
 
-class Settings:
-    """Flag > config file > built-in default, resolved per lookup."""
-
-    def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
-        self.args = args
-        self.file_values = file_values
-        self.sub = args.command
-
-    def get(self, name: str, default=None, cast=str):
-        dest = name.replace("-", "_")
-        value = getattr(self.args, dest, None)
-        if value is not None:
-            if isinstance(value, str) and cast is not str:
-                return _cast(name, value, cast)
-            return value
-        for key in (f"{self.sub}.{name}", name):
-            if key in self.file_values:
-                return _cast(key, self.file_values[key], cast)
-        return default
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A parser's options by config key: the long flag without its dashes."""
+    return {a.option_strings[-1].lstrip("-"): a for a in parser._actions
+            if a.option_strings and a.default is not argparse.SUPPRESS}
 
 
-def _cast(key: str, raw: str, cast):
+def _convert(key: str, action: argparse.Action, raw: str):
+    """A config-file value through the same type and choice check as its flag."""
     try:
-        return _as_bool(raw) if cast is bool else cast(raw)
+        value = _as_bool(raw) if action.nargs == 0 else (action.type or str)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise BadConfigError(f"{key}: {exc}") from None
     except ValueError:
-        raise BadConfigError(f"{key} = {raw!r} is not a valid {cast.__name__}") from None
+        raise BadConfigError(
+            f"{key} = {raw!r} is not a valid {action.type.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        raise BadConfigError(
+            f"{key}: unknown {key.rpartition('.')[2]} {raw!r}, "
+            f"want one of {', '.join(action.choices)}")
+    return value
+
+
+def _install_config(parser: argparse.ArgumentParser, command: str,
+                    values: dict[str, str]) -> None:
+    """Make config-file values the parser defaults for `command`.
+
+    Bare keys go in before `command.key` ones, so argparse itself resolves
+    flag > command.key > key > built-in default.  A bare key that `command`
+    does not take is left for the commands that do.
+    """
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    # (command, key) -> (parser that holds the option, option); globals too
+    table = {(c, key): (owner, action) for c, p in commands.items()
+             for owner in (parser, p) for key, action in _options(owner).items()}
+    defaults: dict[argparse.ArgumentParser, dict] = {}
+    for key in sorted(values, key=lambda k: "." in k):
+        scope, _, name = key.rpartition(".")
+        if name in _FLAG_ONLY:
+            raise BadConfigError(f"{key}: can only be given on the command line")
+        if not any((c, name) in table for c in commands if scope in ("", c)):
+            raise BadConfigError(f"unknown config key {key!r}")
+        if scope in ("", command) and (command, name) in table:
+            owner, action = table[command, name]
+            value = _convert(key, action, values[key])
+            defaults.setdefault(owner, {})[action.dest] = value
+    for owner, values_of in defaults.items():
+        owner.set_defaults(**values_of)
 
 
 def _parse_sweep(text: str) -> list[int]:
     """Device sweeps: '1:9' is an inclusive range, '1,3,5' a list."""
-    text = text.strip()
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+    lo, colon, hi = text.partition(":")
+    if colon:
+        sweep = list(range(int(lo), int(hi) + 1))
+    else:
+        sweep = [int(p) for p in text.split(",") if p.strip()]
+    if not sweep:
+        raise argparse.ArgumentTypeError(f"empty device sweep {text!r}")
+    return sweep
 
 
 def _feature_set(name: str) -> str:
     try:
         return _FEATURE_ALIASES[name]
     except KeyError:
-        raise BadConfigError(
+        raise argparse.ArgumentTypeError(
             f"unknown feature set {name!r}, want full or deid") from None
 
 
-def _sim_config(s: Settings, seed: int) -> sim.SimConfig:
+def _feature_sets(text: str) -> list[str]:
+    return [_feature_set(f.strip()) for f in text.split(",")]
+
+
+def _model_kinds(text: str) -> list[str]:
+    kinds = [k.strip() for k in text.split(",")]
+    if not set(kinds) <= set(models.MODEL_KINDS):
+        raise argparse.ArgumentTypeError(
+            f"unknown model kind in {text!r}, "
+            f"want {', '.join(models.MODEL_KINDS)}")
+    return kinds
+
+
+def _topic_spec(text: str) -> tuple[str, int]:
+    name, _, parts = text.partition(":")
+    return name, int(parts) if parts else 3
+
+
+def _sim_config(args: argparse.Namespace, n_devices: int,
+                duration_s: float) -> sim.SimConfig:
     return sim.SimConfig(
-        n_devices=s.get("devices", 9, int),
-        duration_s=s.get("duration", 120.0, float),
-        anomaly_device_fraction=s.get("fraction", 0.349, float),
-        seed=seed,
-        rate_flows_per_s=s.get("rate", 50.0, float),
-        overlap=s.get("overlap", 0.0, float),
-        cnc_fixed_size=s.get("cnc-fixed-size", False, bool),
-    )
+        n_devices=n_devices, duration_s=duration_s, seed=args.seed,
+        anomaly_device_fraction=args.fraction, rate_flows_per_s=args.rate,
+        overlap=args.overlap, cnc_fixed_size=args.cnc_fixed_size)
 
 
 def _split_addr(key: str, addr: str) -> tuple[str, int]:
@@ -135,16 +181,13 @@ def _split_addr(key: str, addr: str) -> tuple[str, int]:
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_gen(s: Settings, seed: int) -> int:
-    out = s.get("out")
-    to_broker = s.get("to-broker")
+def cmd_gen(args: argparse.Namespace) -> int:
+    out, to_broker = args.out, args.to_broker
     if not out and not to_broker:
         raise BadConfigError("one of --out or --to-broker is required")
-    config = _sim_config(s, seed)
-    records = sim.generate(config)
+    records = sim.generate(_sim_config(args, args.devices, args.duration))
     if out:
         if out == "-":
-            from .flows import MALIOT_CSV_HEADER, format_row
             sys.stdout.write(MALIOT_CSV_HEADER + "\n")
             for r in records:
                 sys.stdout.write(format_row(r) + "\n")
@@ -153,11 +196,10 @@ def cmd_gen(s: Settings, seed: int) -> int:
         log.info("wrote %d rows to %s", len(records), out)
     if to_broker:
         host, port = _split_addr("to-broker", to_broker)
-        topic = s.get("topic", "flows")
         with TcpClient(host, port) as client:
-            _ensure_topic(client, topic, s.get("partitions", 3, int))
-            n = sim.replay(records, client, topic)
-        log.info("produced %d rows to %s/%s", n, to_broker, topic)
+            _ensure_topic(client, args.topic, args.partitions)
+            n = sim.replay(records, client, args.topic)
+        log.info("produced %d rows to %s/%s", n, to_broker, args.topic)
     return EXIT_OK
 
 
@@ -184,19 +226,19 @@ def _model_config_for(kind: str, epochs: int | None):
     return None
 
 
-def cmd_train(s: Settings, seed: int) -> int:
-    kind = s.get("model")
-    feature_set = _feature_set(s.get("features", "full"))
-    out = s.get("out")
-    records, rejected = _load_training_files(s.args.data)
-    train_recs, test_recs = bench_mod.split_records(records, 0.8, seed)
-    codec = fit_codec(train_recs, feature_set)
+def cmd_train(args: argparse.Namespace) -> int:
+    kind, out = args.model, args.out
+    if not out:
+        raise BadConfigError("--out is required")
+    records, rejected = _load_training_files(args.data)
+    train_recs, test_recs = bench_mod.split_records(records, 0.8, args.seed)
+    codec = fit_codec(train_recs, args.features)
     Xtr, ytr = encode_batch(train_recs, codec)
     model = models.train(
         kind, Xtr, ytr,
-        config=_model_config_for(kind, s.get("epochs", None, int)),
-        seed=seed, codec_fingerprint=codec.fingerprint(),
-        version=s.get("version", 1, int),
+        config=_model_config_for(kind, args.epochs),
+        seed=args.seed, codec_fingerprint=codec.fingerprint(),
+        version=args.version,
     )
     # codec first: `serve --watch-model` watches the model file
     codec.save(codec_path_for(out))
@@ -204,7 +246,7 @@ def cmd_train(s: Settings, seed: int) -> int:
     Xte, yte = encode_batch(test_recs, codec)
     metrics = models.evaluate(model, Xte, yte)
     print(json.dumps({
-        "kind": kind, "feature_set": feature_set, "version": model.version,
+        "kind": kind, "feature_set": args.features, "version": model.version,
         "rows": len(records), "rejected": rejected,
         "accuracy": metrics.accuracy, "precision": metrics.precision,
         "recall": metrics.recall, "f1": metrics.f1,
@@ -233,32 +275,23 @@ def _stop_on_signals():
             signal.signal(sig, signal.SIG_DFL if handler is None else handler)
 
 
-def cmd_broker(s: Settings, seed: int) -> int:
-    del seed
-    data_dir = s.get("data-dir")
-    if not data_dir:
+def cmd_broker(args: argparse.Namespace) -> int:
+    if not args.data_dir:
         raise BadConfigError("--data-dir is required")
-    port = s.get("port", 9092, int)
-    if not 0 <= port <= 65535:
-        raise BadConfigError(f"port: {port} is outside 0-65535")
+    if not 0 <= args.port <= 65535:
+        raise BadConfigError(f"port: {args.port} is outside 0-65535")
     config = BrokerConfig(
-        data_dir=data_dir,
-        fsync=s.get("fsync", "interval"),
-        fsync_interval_ms=s.get("fsync-interval-ms", 50.0, float),
-        max_partition_backlog=s.get("max-backlog", 1_000_000, int),
+        data_dir=args.data_dir,
+        fsync=args.fsync,
+        fsync_interval_ms=args.fsync_interval_ms,
+        max_partition_backlog=args.max_backlog,
     )
     with _stop_on_signals() as stop, Broker(config) as broker:
-        for spec_str in s.args.create_topic or []:
-            name, _, parts = spec_str.partition(":")
-            broker.create_topic(name, int(parts) if parts else 3)
-        server = BrokerServer(
-            broker,
-            host=s.get("host", "127.0.0.1"),
-            port=port,
-        )
-        with server:
+        for name, partitions in args.create_topic or []:
+            broker.create_topic(name, partitions)
+        with BrokerServer(broker, host=args.host, port=args.port) as server:
             log.info("broker listening on %s:%d data_dir=%s",
-                     server.host, server.port, data_dir)
+                     server.host, server.port, args.data_dir)
             while not stop.wait(0.2):
                 pass
     log.info("broker stopped")
@@ -273,49 +306,41 @@ def _ensure_topic(client, topic: str, partitions: int) -> None:
         pass
 
 
-def cmd_replay(s: Settings, seed: int) -> int:
-    del seed
-    host, port = _split_addr("broker", s.get("broker", "127.0.0.1:9092"))
-    path = s.get("data")
-    dialect = s.get("dialect") or sniff_dialect(path)
-    records, stats = read_dataset(path, dialect)
-    rate_mult = s.get("rate-mult", math.inf, float)
+def cmd_replay(args: argparse.Namespace) -> int:
+    host, port = _split_addr("broker", args.broker)
+    records, stats = read_dataset(args.data, args.dialect or sniff_dialect(args.data))
     with TcpClient(host, port) as client:
-        _ensure_topic(client, s.get("topic", "flows"), s.get("partitions", 3, int))
-        n = sim.replay(records, client, s.get("topic", "flows"), rate_mult)
+        _ensure_topic(client, args.topic, args.partitions)
+        n = sim.replay(records, client, args.topic, args.rate_mult)
     print(json.dumps({"produced": n, "rejected": stats.rows_rejected}))
     return EXIT_OK
 
 
-def cmd_serve(s: Settings, seed: int) -> int:
-    del seed
-    host, port = _split_addr("broker", s.get("broker", "127.0.0.1:9092"))
-    model_path = s.get("model")
-    if not model_path:
+def cmd_serve(args: argparse.Namespace) -> int:
+    host, port = _split_addr("broker", args.broker)
+    if not args.model:
         raise BadConfigError("--model is required")
     config = EngineConfig(
-        model_path=model_path,
-        codec_path=s.get("codec", ""),
-        topic=s.get("topic", "flows"),
-        group=s.get("group", "engine"),
-        feature_set=_feature_set(s.get("features", "full")),
-        persist_dir=s.get("persist-dir", ""),
-        sink=s.get("sink", "jsonl_file"),
-        sink_path=s.get("sink-path", "verdicts.jsonl"),
-        batch_interval_ms=s.get("batch-interval-ms", 1000.0, float),
-        max_batch_rows=s.get("max-batch-rows", 10000, int),
+        model_path=args.model,
+        codec_path=args.codec,
+        topic=args.topic,
+        group=args.group,
+        feature_set=args.features,
+        persist_dir=args.persist_dir,
+        sink=args.sink,
+        sink_path=args.sink_path,
+        batch_interval_ms=args.batch_interval_ms,
+        max_batch_rows=args.max_batch_rows,
     )
-    max_cycles = s.get("max-cycles", None, int)
-    idle_limit = s.get("idle-limit", None, int)
-    watch = s.get("watch-model", False, bool)
     with _stop_on_signals() as stop:
-        client = TcpClient(host, port, consumer_id=s.get("consumer-id", "_default"))
+        client = TcpClient(host, port, consumer_id=args.consumer_id)
         engine = StreamEngine(client, config)
         log.info("serving %s v%d (%s/%s) from %s:%d",
                  engine.model.kind, engine.model.version,
                  config.topic, config.group, host, port)
         try:
-            engine.run(max_cycles, idle_limit, stop.is_set, watch)
+            engine.run(args.max_cycles, args.idle_limit, stop.is_set,
+                       args.watch_model)
         finally:
             engine.close()
             client.close()
@@ -325,27 +350,22 @@ def cmd_serve(s: Settings, seed: int) -> int:
     return EXIT_OK
 
 
-def cmd_bench(s: Settings, seed: int) -> int:
-    experiment = s.get("experiment")
-    out_dir = s.get("out-dir", "bench_out")
-    reps = s.get("reps", 5, int)
-    kinds = [k.strip() for k in s.get("kinds", ",".join(_KIND_CHOICES)).split(",")]
-    feature_sets = [_feature_set(f.strip())
-                    for f in s.get("features", "full,deid").split(",")]
+def cmd_bench(args: argparse.Namespace) -> int:
+    experiment, seed, kinds = args.experiment, args.seed, args.kinds
+    default_sweep, default_duration = _BENCH_CORPUS[experiment]
+    sweep = default_sweep if args.devices is None else args.devices
+    duration = default_duration if args.duration is None else args.duration
+    if experiment != "scalability" and len(sweep) != 1:
+        raise BadConfigError(f"devices: {experiment} takes one device count")
+    # scalability swaps in each sweep point's device count
+    config = _sim_config(args, sweep[0], duration)
     if experiment == "accuracy":
-        config = _sim_config(s, seed)
-        report = bench_mod.bench_accuracy(kinds, feature_sets, config, seed=seed)
+        report = bench_mod.bench_accuracy(kinds, args.features, config, seed=seed)
     elif experiment == "inference":
-        config = sim.SimConfig(
-            n_devices=s.get("devices", 9, int),
-            duration_s=s.get("duration", 5.0, float),
-            seed=seed,
-        )
         records = sim.generate(config)
         train_recs, _ = bench_mod.split_records(records, 0.8, seed)
-        trained = []
-        codecs = []
-        for fs in feature_sets:
+        trained, codecs = [], []
+        for fs in args.features:
             codec = fit_codec(train_recs, fs)
             X, y = encode_batch(train_recs, codec)
             codecs.append(codec)
@@ -355,54 +375,43 @@ def cmd_bench(s: Settings, seed: int) -> int:
                     config=bench_mod.DEFAULT_BENCH_MODEL_CONFIGS.get(kind),
                     seed=seed, codec_fingerprint=codec.fingerprint()))
         report = bench_mod.bench_inference(trained, codecs, records,
-                                           repetitions=reps, seed=seed)
-    elif experiment == "scalability":
-        sweep = _parse_sweep(s.get("devices", "1,3,5,7,9"))
-        work = os.path.join(out_dir, "scale-work")
+                                           repetitions=args.reps, seed=seed)
+    else:
+        work = os.path.join(args.out_dir, "scale-work")
         os.makedirs(work, exist_ok=True)
-        fs = feature_sets[0]
+        fs = args.features[0]
         train_cfg = sim.SimConfig(n_devices=9, duration_s=5.0, seed=seed)
         train_recs = sim.generate(train_cfg)
         codec = fit_codec(train_recs, fs)
         X, y = encode_batch(train_recs, codec)
-        kind = kinds[0]
-        model = models.train(kind, X, y, seed=seed,
+        model = models.train(kinds[0], X, y, seed=seed,
                              codec_fingerprint=codec.fingerprint())
         model_path = os.path.join(work, "scale-model.json")
         models.save_model(model, model_path)
         codec.save(codec_path_for(model_path))
         report = bench_mod.bench_scalability(
-            model_path, work, n_devices_sweep=sweep,
-            sim_config=sim.SimConfig(
-                duration_s=s.get("duration", 2.0, float), seed=seed),
-            feature_set=fs,
-            rate_multiplier=s.get("rate-mult", 1.0, float),
-            seed=seed,
+            model_path, work, n_devices_sweep=sweep, sim_config=config,
+            feature_set=fs, rate_multiplier=args.rate_mult, seed=seed,
         )
-    else:
-        raise BadConfigError(f"unknown experiment {experiment!r}")
-    jsonl_path, csv_path = bench_mod.emit_report(report, out_dir)
+    jsonl_path, csv_path = bench_mod.emit_report(report, args.out_dir)
     print(json.dumps({"jsonl": jsonl_path, "csv": csv_path,
                       "rows": len(report.rows)}))
     return EXIT_OK
 
 
-def cmd_retrain(s: Settings, seed: int) -> int:
-    persist_dir = s.get("persist-dir")
-    kind = s.get("model")
-    out = s.get("out")
-    if not persist_dir or not out:
+def cmd_retrain(args: argparse.Namespace) -> int:
+    kind, out = args.model, args.out
+    if not args.persist_dir or not out:
         raise BadConfigError("--persist-dir and --out are required")
-    feature_set = _feature_set(s.get("features", "full"))
-    version = s.get("version", None, int)
+    version = args.version
     if version is None:
         version = 1
         if os.path.exists(out):
             version = models.load_model(out).version + 1
     model, codec = retrain_from_persisted(
-        persist_dir, kind, feature_set,
-        config=_model_config_for(kind, s.get("epochs", None, int)),
-        seed=seed, version=version,
+        args.persist_dir, kind, args.features,
+        config=_model_config_for(kind, args.epochs),
+        seed=args.seed, version=version,
     )
     codec.save(codec_path_for(out))  # before the watched model file
     models.save_model(model, out)
@@ -418,175 +427,165 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maliot",
         description="Real-time malicious IoT traffic detection pipeline.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master RNG seed (default: 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master RNG seed (default: %(default)s)")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key = value config file; flags override it")
-    parser.add_argument("--log-level", default=None,
+    parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"],
-                        help="stderr log verbosity (default: info)")
+                        help="stderr log verbosity (default: %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("gen", help="generate synthetic flow traffic")
-    p.add_argument("--devices", type=int, default=None,
-                   help="fleet size (default: 9)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds (default: 120)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="flows per device per second (default: 50)")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="malicious device fraction (default: 0.349)")
-    p.add_argument("--overlap", type=float, default=None,
-                   help="probability a malicious flow mimics benign traffic "
-                        "(default: 0)")
-    p.add_argument("--cnc-fixed-size", action="store_true", default=None,
-                   help="constant beacon sizes instead of benign-like draws")
+    # options several subcommands take, attached through `parents`
+    corpus, broker_addr, topic, partitions, features, fit = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    corpus.add_argument("--rate", type=float, default=50.0,
+                        help="flows per device per second (default: %(default)s)")
+    corpus.add_argument("--fraction", type=float, default=0.349,
+                        help="malicious device fraction (default: %(default)s)")
+    corpus.add_argument("--overlap", type=float, default=0.0,
+                        help="probability a malicious flow mimics benign traffic "
+                             "(default: %(default)s)")
+    corpus.add_argument("--cnc-fixed-size", action="store_true",
+                        help="constant beacon sizes instead of benign-like draws")
+    broker_addr.add_argument("--broker", default="127.0.0.1:9092",
+                             metavar="HOST:PORT",
+                             help="broker address (default: %(default)s)")
+    topic.add_argument("--topic", default="flows",
+                       help="topic name (default: %(default)s)")
+    partitions.add_argument("--partitions", type=int, default=3,
+                            help="partitions of a new topic (default: %(default)s)")
+    features.add_argument("--features", type=_feature_set, default="full",
+                          help="feature regime, full or deid (default: %(default)s)")
+    fit.add_argument("--model", required=True, choices=models.MODEL_KINDS,
+                     help="classifier kind")
+    fit.add_argument("--epochs", type=int, default=None,
+                     help="epoch override for ann and the linear models")
+    fit.add_argument("--out", default=None, metavar="MODEL.json",
+                     help="model output path; codec lands next to it")
+
+    p = sub.add_parser("gen", parents=[corpus, topic, partitions],
+                       help="generate synthetic flow traffic")
+    p.set_defaults(handler=cmd_gen)
+    p.add_argument("--devices", type=int, default=9,
+                   help="fleet size (default: %(default)s)")
+    p.add_argument("--duration", type=float, default=120.0,
+                   help="simulated seconds (default: %(default)s)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output csv path, or - for stdout")
     p.add_argument("--to-broker", default=None, metavar="HOST:PORT",
                    help="produce rows to a broker instead of / besides a file")
-    p.add_argument("--topic", default=None, help="topic name (default: flows)")
-    p.add_argument("--partitions", type=int, default=None,
-                   help="partitions when creating the topic (default: 3)")
 
-    p = sub.add_parser("train", help="fit a model offline and save it")
-    p.add_argument("--model", required=True, choices=_KIND_CHOICES,
-                   help="classifier kind")
-    p.add_argument("--features", default=None, choices=["full", "deid"],
-                   help="feature regime (default: full)")
+    p = sub.add_parser("train", parents=[fit, features],
+                       help="fit a model offline and save it")
+    p.set_defaults(handler=cmd_train)
     p.add_argument("--data", nargs="+", required=True, metavar="FILE",
                    help="input datasets; dialects are sniffed per file")
-    p.add_argument("--out", required=True, metavar="MODEL.json",
-                   help="model output path; codec lands next to it")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="epoch override for ann and the linear models")
-    p.add_argument("--version", type=int, default=None,
-                   help="model version stamp (default: 1)")
+    p.add_argument("--version", type=int, default=1,
+                   help="model version stamp (default: %(default)s)")
 
     p = sub.add_parser("broker", help="run the message broker")
+    p.set_defaults(handler=cmd_broker)
     p.add_argument("--data-dir", default=None, help="durable log directory")
-    p.add_argument("--host", default=None, help="bind host (default: 127.0.0.1)")
-    p.add_argument("--port", type=int, default=None,
-                   help="bind port (default: 9092)")
-    p.add_argument("--fsync", default=None, choices=["every_message", "interval"],
-                   help="durability policy (default: interval)")
-    p.add_argument("--fsync-interval-ms", type=float, default=None,
-                   help="fsync cadence for interval policy (default: 50)")
-    p.add_argument("--max-backlog", type=int, default=None,
-                   help="per-partition backpressure bound (default: 1000000)")
-    p.add_argument("--create-topic", action="append", default=None,
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind host (default: %(default)s)")
+    p.add_argument("--port", type=int, default=9092,
+                   help="bind port (default: %(default)s)")
+    p.add_argument("--fsync", default="interval", choices=["every_message", "interval"],
+                   help="durability policy (default: %(default)s)")
+    p.add_argument("--fsync-interval-ms", type=float, default=50.0,
+                   help="fsync cadence for interval policy (default: %(default)s)")
+    p.add_argument("--max-backlog", type=int, default=1_000_000,
+                   help="per-partition backpressure bound (default: %(default)s)")
+    p.add_argument("--create-topic", type=_topic_spec, action="append",
                    metavar="NAME[:PARTITIONS]",
-                   help="create topic(s) at startup; repeatable")
+                   help="create a topic at startup, default 3 partitions; repeatable")
 
-    p = sub.add_parser("serve", help="run the streaming inference engine")
-    p.add_argument("--broker", default=None, metavar="HOST:PORT",
-                   help="broker address (default: 127.0.0.1:9092)")
+    p = sub.add_parser("serve", parents=[broker_addr, features, topic],
+                       help="run the streaming inference engine")
+    p.set_defaults(handler=cmd_serve)
     p.add_argument("--model", default=None, metavar="MODEL.json",
                    help="trained model file (codec expected alongside)")
-    p.add_argument("--codec", default=None, metavar="CODEC.json",
+    p.add_argument("--codec", default="", metavar="CODEC.json",
                    help="codec path override")
-    p.add_argument("--features", default=None, choices=["full", "deid"],
-                   help="feature regime the engine expects (default: full)")
-    p.add_argument("--topic", default=None, help="topic to consume (default: flows)")
-    p.add_argument("--group", default=None,
-                   help="consumer group (default: engine)")
-    p.add_argument("--consumer-id", default=None,
-                   help="member id within the group (default: _default)")
-    p.add_argument("--persist-dir", default=None,
+    p.add_argument("--group", default="engine",
+                   help="consumer group (default: %(default)s)")
+    p.add_argument("--consumer-id", default="_default",
+                   help="member id within the group (default: %(default)s)")
+    p.add_argument("--persist-dir", default="",
                    help="directory for raw-row retention (default: off)")
-    p.add_argument("--sink", default=None, choices=["jsonl_file", "stdout"],
-                   help="verdict sink (default: jsonl_file)")
-    p.add_argument("--sink-path", default=None,
-                   help="verdict file for jsonl_file (default: verdicts.jsonl)")
-    p.add_argument("--batch-interval-ms", type=float, default=None,
-                   help="micro-batch window (default: 1000)")
-    p.add_argument("--max-batch-rows", type=int, default=None,
-                   help="micro-batch row cap (default: 10000)")
-    p.add_argument("--watch-model", action="store_true", default=None,
+    p.add_argument("--sink", default="jsonl_file", choices=["jsonl_file", "stdout"],
+                   help="verdict sink (default: %(default)s)")
+    p.add_argument("--sink-path", default="verdicts.jsonl",
+                   help="verdict file for jsonl_file (default: %(default)s)")
+    p.add_argument("--batch-interval-ms", type=float, default=1000.0,
+                   help="micro-batch window (default: %(default)s)")
+    p.add_argument("--max-batch-rows", type=int, default=10000,
+                   help="micro-batch row cap (default: %(default)s)")
+    p.add_argument("--watch-model", action="store_true",
                    help="hot-swap when the model file changes on disk")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="stop after N cycles (default: run until signal)")
     p.add_argument("--idle-limit", type=int, default=None,
                    help="stop after N consecutive empty cycles")
 
-    p = sub.add_parser("replay", help="produce a dataset file to the broker")
-    p.add_argument("--broker", default=None, metavar="HOST:PORT",
-                   help="broker address (default: 127.0.0.1:9092)")
+    p = sub.add_parser("replay", parents=[broker_addr, topic, partitions],
+                       help="produce a dataset file to the broker")
+    p.set_defaults(handler=cmd_replay)
     p.add_argument("--data", required=True, metavar="FILE", help="dataset to send")
     p.add_argument("--dialect", default=None,
                    choices=["iot23_conn_log", "ton_iot_csv", "maliot_csv"],
                    help="input dialect (default: sniffed)")
-    p.add_argument("--topic", default=None, help="topic name (default: flows)")
-    p.add_argument("--partitions", type=int, default=None,
-                   help="partitions when creating the topic (default: 3)")
-    p.add_argument("--rate-mult", type=float, default=None,
-                   help="timestamp-gap speedup; default replays "
-                        "as fast as possible")
+    p.add_argument("--rate-mult", type=float, default=math.inf,
+                   help="timestamp-gap speedup (default: %(default)s, "
+                        "as fast as possible)")
 
-    p = sub.add_parser("bench", help="run a measurement experiment")
-    p.add_argument("experiment", choices=["inference", "accuracy", "scalability"],
+    corpora = "; ".join(f"{name} {','.join(map(str, devices))} for {seconds:g} s"
+                        for name, (devices, seconds) in _BENCH_CORPUS.items())
+    p = sub.add_parser("bench", parents=[corpus],
+                       help="run a measurement experiment")
+    p.set_defaults(handler=cmd_bench)
+    p.add_argument("experiment", choices=list(_BENCH_CORPUS),
                    help="which experiment to run")
-    p.add_argument("--out-dir", default=None,
-                   help="report directory (default: bench_out)")
-    p.add_argument("--kinds", default=None,
-                   help="comma list of model kinds (default: all)")
-    p.add_argument("--features", default=None,
-                   help="comma list of feature regimes (default: full,deid)")
-    p.add_argument("--devices", default=None,
-                   help="device count, or sweep like 1:9 or 1,3,5 "
-                        "(scalability default: 1,3,5,7,9)")
+    p.add_argument("--out-dir", default="bench_out",
+                   help="report directory (default: %(default)s)")
+    p.add_argument("--kinds", type=_model_kinds,
+                   default=", ".join(models.MODEL_KINDS),
+                   help="comma list of model kinds; scalability runs the first "
+                        "(default: %(default)s)")
+    p.add_argument("--features", type=_feature_sets, default="full,deid",
+                   help="comma list of feature regimes; scalability runs the "
+                        "first (default: %(default)s)")
+    p.add_argument("--devices", type=_parse_sweep, default=None,
+                   help="device count, or for scalability a sweep like 1:9 or "
+                        f"1,3,5 (default: {corpora})")
     p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per run (experiment-specific default)")
-    p.add_argument("--rate", type=float, default=None,
-                   help="flows per device per second (default: 50)")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="malicious device fraction (default: 0.349)")
-    p.add_argument("--overlap", type=float, default=None,
-                   help="benign-mimicry probability (default: 0)")
-    p.add_argument("--cnc-fixed-size", action="store_true", default=None,
-                   help="constant beacon sizes instead of benign-like draws")
-    p.add_argument("--rate-mult", type=float, default=None,
-                   help="replay speedup for scalability (default: 1.0)")
-    p.add_argument("--reps", type=int, default=None,
-                   help="timing repetitions (default: 5)")
+                   help="simulated seconds per run (default: see --devices)")
+    p.add_argument("--rate-mult", type=float, default=1.0,
+                   help="replay speedup; scalability only (default: %(default)s)")
+    p.add_argument("--reps", type=int, default=5,
+                   help="timing repetitions; inference only (default: %(default)s)")
 
-    p = sub.add_parser("retrain", help="retrain from engine-persisted rows")
+    p = sub.add_parser("retrain", parents=[fit, features],
+                       help="retrain from engine-persisted rows")
+    p.set_defaults(handler=cmd_retrain)
     p.add_argument("--persist-dir", default=None,
                    help="directory the engine persisted rows into")
-    p.add_argument("--model", required=True, choices=_KIND_CHOICES,
-                   help="classifier kind")
-    p.add_argument("--features", default=None, choices=["full", "deid"],
-                   help="feature regime (default: full)")
-    p.add_argument("--out", default=None, metavar="MODEL.json",
-                   help="model output path; codec lands next to it")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="epoch override for ann and the linear models")
     p.add_argument("--version", type=int, default=None,
                    help="version stamp (default: bump the existing file)")
 
     return parser
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "broker": cmd_broker,
-    "serve": cmd_serve,
-    "replay": cmd_replay,
-    "bench": cmd_bench,
-    "retrain": cmd_retrain,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _install_config(parser, args.command, _read_config_file(args.config))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    try:
-        file_values = _read_config_file(args.config) if args.config else {}
     except OSError as exc:
         print(f"maliot: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -594,16 +593,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"maliot: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    settings = Settings(args, file_values)
-    level = settings.get("log-level", "info")
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, level.upper(), logging.INFO),
+        level=args.log_level.upper(),
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
 
     try:
-        return _COMMANDS[args.command](settings, settings.get("seed", 0, int))
+        return args.handler(args)
     except KeyboardInterrupt:
         return EXIT_OK
     except BadConfigError as exc:

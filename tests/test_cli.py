@@ -379,3 +379,121 @@ def test_bench_inference_cli(tmp_path, capsys):
 def test_bench_unknown_experiment_exits_2(capsys):
     code, _, _ = run(["bench", "nonsense"], capsys)
     assert code == EXIT_USAGE
+
+
+# -- config files go through the flag declarations ----------------------------
+
+def test_readme_config_example_loads(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "maliot.conf"
+    cfg.write_text(block)
+    code, out, _ = run(["--config", str(cfg), "gen", "--duration", "1",
+                        "--out", "-"], capsys)
+    assert code == EXIT_OK
+    assert len({r.split(",")[-1] for r in out.splitlines()[1:]}) == 12
+
+
+SMALL_GEN = ["gen", "--devices", "1", "--duration", "1", "--out", "-"]
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("gen.devics = 12", SMALL_GEN),
+    ("serve.devices = 3", ["serve", "--broker", "127.0.0.1:1",
+                           "--model", "missing.json"]),
+    ("nosuch.seed = 3", SMALL_GEN),
+    ("config = other.cfg", SMALL_GEN),
+    ("replay.data = flows.csv", ["replay", "--data", "missing.csv"]),
+    ("create-topic = flows", ["broker", "--data-dir", "d", "--port", "-1"]),
+    ("bench.experiment = accuracy", ["bench", "accuracy", "--devices", "1",
+                                     "--duration", "1", "--kinds",
+                                     "decision_tree", "--out-dir", "unused"]),
+])
+def test_config_key_naming_no_settable_option_exits_2(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(["--config", str(cfg)] + argv, capsys)
+    assert code == EXIT_USAGE
+    assert line.partition(" ")[0] in err
+
+
+def test_bare_key_another_command_takes_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("devices = 3\n")
+    code, _, _ = run(["--config", str(cfg), "serve", "--broker", _unused_addr(),
+                      "--model", str(tmp_path / "missing.json")], capsys)
+    assert code == EXIT_IO  # got past the config, failed on the model file
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("replay.dialect = zeek", ["replay", "--data", "missing.csv"]),
+    ("log-level = loud", SMALL_GEN),
+    ("bench.kinds = cnn", ["bench", "accuracy", "--devices", "1",
+                           "--duration", "1"]),
+])
+def test_config_value_gets_its_flags_checks(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(["--config", str(cfg)] + argv, capsys)
+    assert code == EXIT_USAGE
+    assert line.partition(" ")[0] in err
+
+
+def test_config_file_spellings_keep_their_effect(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("gen.cnc-fixed-size = yes\nfeatures = de_identified\n"
+                   "devices = 3\nduration = 1\n")
+    code, from_file, _ = run(["--config", str(cfg), "gen", "--out", "-"], capsys)
+    assert code == EXIT_OK
+    code, from_flags, _ = run(["gen", "--devices", "3", "--duration", "1",
+                               "--cnc-fixed-size", "--out", "-"], capsys)
+    assert from_file == from_flags
+    flows = tmp_path / "f.csv"
+    flows.write_text(from_file)
+    code, out, _ = run(["--config", str(cfg), "train", "--model", "gaussian_nb",
+                        "--data", str(flows), "--out", str(tmp_path / "m.json")],
+                       capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["feature_set"] == "de_identified"
+
+
+def test_flag_beats_command_key_beats_bare_key(tmp_path, capsys):
+    from maliot.sim import SimConfig, generate
+
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("duration = 1\ngen.duration = 2\ndevices = 2\n")
+    for extra, seconds in (([], 2.0), (["--duration", "3"], 3.0)):
+        code, out, _ = run(["--config", str(cfg), "gen", "--out", "-"] + extra,
+                           capsys)
+        assert code == EXIT_OK
+        rows = len(out.splitlines()) - 1
+        assert rows == len(generate(SimConfig(n_devices=2, duration_s=seconds)))
+
+
+def test_bench_scalability_reads_the_corpus_flags(tmp_path, capsys):
+    from maliot.sim import SimConfig, generate
+
+    code, out, _ = run(["bench", "scalability", "--kinds", "decision_tree",
+                        "--features", "full", "--devices", "1",
+                        "--duration", "1", "--rate", "5",
+                        "--out-dir", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    with open(json.loads(out)["jsonl"], encoding="utf-8") as fh:
+        (row,) = [json.loads(line) for line in fh]
+    slow = len(generate(SimConfig(n_devices=1, duration_s=1.0,
+                                  rate_flows_per_s=5.0)))
+    assert row["produced"] == slow
+    assert slow <= len(generate(SimConfig(n_devices=1, duration_s=1.0))) / 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "scalability", "--kinds", "decision_tree", "--devices", "x"],
+    ["bench", "scalability", "--kinds", "decision_tree", "--devices", "9:1"],
+    ["bench", "accuracy", "--devices", "1", "--duration", "1", "--kinds", "cnn"],
+    ["broker", "--create-topic", "flows:x"],
+])
+def test_malformed_list_flags_exit_2(tmp_path, capsys, argv):
+    code, _, _ = run(argv + ["--out-dir" if argv[0] == "bench" else "--data-dir",
+                             str(tmp_path / "out")], capsys)
+    assert code == EXIT_USAGE
