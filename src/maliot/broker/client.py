@@ -50,9 +50,12 @@ class _PositionKeeper:
         self._membership("leave", group, topic)
 
     def poll(self, group: str, topic: str, max_messages: int = 100,
-             timeout_ms: float = 0.0) -> list[Run]:
+             timeout_ms: float = 0.0, min_messages: int = 1,
+             commit: dict[int, int] | None = None) -> list[Run]:
+        """``Broker.fetch`` from the kept positions, then advance them."""
         pos = self._positions.setdefault((group, topic), {})
-        runs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms)
+        runs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms,
+                                     min_messages, commit or {})
         for p in set(pos).difference(assigned):
             del pos[p]
         for run in runs:
@@ -85,9 +88,10 @@ class InProcClient(_PositionKeeper):
     def _membership(self, op: str, group: str, topic: str) -> None:
         getattr(self.broker, op)(group, topic, self.consumer_id)
 
-    def _fetch(self, group, topic, positions, max_messages, timeout_ms):
+    def _fetch(self, group, topic, positions, max_messages, timeout_ms,
+               min_messages, commit):
         return self.broker.fetch(group, topic, positions, max_messages,
-                                 timeout_ms, self.consumer_id)
+                                 timeout_ms, self.consumer_id, min_messages, commit)
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         self.broker.commit(group, topic, offsets)
@@ -170,11 +174,13 @@ class TcpClient(_PositionKeeper):
         self._call(OP_POLL, {"group": group, "topic": topic,
                              "consumer": self.consumer_id, op: True})
 
-    def _fetch(self, group, topic, positions, max_messages, timeout_ms):
+    def _fetch(self, group, topic, positions, max_messages, timeout_ms,
+               min_messages, commit):
         r = self._call(OP_POLL, {
             "group": group, "topic": topic, "consumer": self.consumer_id,
             "positions": positions, "max_messages": max_messages,
-            "timeout_ms": timeout_ms,
+            "timeout_ms": timeout_ms, "min_messages": min_messages,
+            "commit": commit,
         })
         return [Run(*run) for run in r["runs"]], r["assigned"]
 

@@ -6,7 +6,8 @@ groups own a committed offset per partition, and anything at or past the
 committed mark is redelivered after a restart.  The broker keeps no read
 position: each fetch names the offset every partition starts from, and
 returns one Run per partition read, with no object per row; the client
-keeps the positions (see client.py).
+keeps the positions (see client.py).  A fetch may carry a commit, and be
+held until enough rows arrive, so one request serves one consumer batch.
 """
 
 from __future__ import annotations
@@ -152,6 +153,9 @@ class Broker:
         self._committed: dict[str, dict[str, dict[int, int]]] = {}
         # (group, topic) -> consumer ids in join order; volatile
         self._members: dict[tuple[str, str], list[str]] = {}
+        # topic -> per held fetch, the topic row count that would fill it
+        self._marks: dict[str, list[int]] = {}
+        self._released = 0  # bumped by release_fetches()
         self._closed = False
         os.makedirs(config.data_dir, exist_ok=True)
         self._topics_path = os.path.join(config.data_dir, "topics.json")
@@ -253,7 +257,9 @@ class Broker:
             offset = part.append(key, value, self.config.fsync == "every_message")
             if self.config.fsync == "interval":
                 part.maybe_sync(self.config.fsync_interval_ms / 1000.0)
-            self._data_arrived.notify_all()
+            marks = self._marks.get(topic)
+            if marks and min(marks) <= sum(len(q.values) for q in parts):
+                self._data_arrived.notify_all()
             return partition, offset
 
     # -- consume ----------------------------------------------------------
@@ -282,19 +288,28 @@ class Broker:
 
     def fetch(self, group_id: str, topic: str, positions: dict[int, int],
               max_messages: int = 100, timeout_ms: float = 0.0,
-              consumer_id: str = "_default") -> tuple[list[Run], list[int]]:
+              consumer_id: str = "_default", min_messages: int = 1,
+              commit: dict[int, int] | None = None
+              ) -> tuple[list[Run], list[int]]:
         """Read up to max_messages rows from this consumer's partitions.
 
+        ``commit``, when given, is applied first, as ``commit()`` applies it.
         Each assigned partition starts at ``positions[p]``, or at the
         group's committed offset when the caller names none.  Unnamed
         partitions are read first, then named ones in the caller's order,
         so a client that rotates its positions gets fair turns under the
-        cap.  Blocks up to timeout_ms for the first row; an empty list on
-        timeout is normal.  Returns a Run per partition read, in that order,
-        and the partitions now assigned to this consumer.  Keeps no state.
+        cap.  Held until it has min_messages rows, or until timeout_ms
+        with whatever it has (an empty list is normal); only a produce
+        that can fill it, or ``release_fetches``, wakes it.  Returns a Run
+        per partition read, in that order, and the partitions now assigned
+        to this consumer.  Keeps no state.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
+        wanted = min(min_messages, max_messages)
         with self._lock:
+            if commit:
+                self.commit(group_id, topic, commit)
+            released = self._released
             while True:
                 parts = self._parts(topic)
                 assigned = self._assignment(group_id, topic, consumer_id)
@@ -313,12 +328,21 @@ class Broker:
                     if end > start:
                         runs.append(Run(p, start, keys[start:end], values[start:end]))
                         room -= end - start
-                if runs:
-                    return runs, assigned
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return [], assigned
+                got = max_messages - room
+                if got >= wanted or remaining <= 0 or released != self._released:
+                    return runs, assigned
+                # any row of the topic may be one of ours: wake at the total
+                mark = sum(len(q.values) for q in parts) + wanted - got
+                self._marks.setdefault(topic, []).append(mark)
                 self._data_arrived.wait(remaining)
+                self._marks[topic].remove(mark)
+
+    def release_fetches(self) -> None:
+        """Return every held fetch now, with the rows it has."""
+        with self._lock:
+            self._released += 1
+            self._data_arrived.notify_all()
 
     def commit(self, group_id: str, topic: str, offsets: dict[int, int]) -> None:
         """Persist per-partition resume points (offset = next to read)."""
@@ -348,6 +372,7 @@ class Broker:
             if self._closed:
                 return
             self._closed = True
+            self.release_fetches()
             for parts in self._topics.values():
                 for part in parts:
                     part.close()

@@ -85,6 +85,7 @@ class BrokerServer:
                     conn.sendall(frame)
                 except OSError:
                     return
+                frame = body = None  # not kept alive while the next request is awaited
         finally:
             self._conns.discard(conn)
             conn.close()
@@ -113,9 +114,11 @@ class BrokerServer:
                     getattr(self.broker, op)(group, topic, consumer)
                     return {}
             positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
+            commit = {int(p): int(o) for p, o in body.get("commit", {}).items()}
             runs, assigned = self.broker.fetch(
                 group, topic, positions, int(body.get("max_messages", 100)),
-                float(body.get("timeout_ms", 0.0)), consumer)
+                float(body.get("timeout_ms", 0.0)), consumer,
+                int(body.get("min_messages", 1)), commit)
             return {"runs": runs, "assigned": assigned}
         if opcode == OP_COMMIT:
             offsets = {int(p): int(o) for p, o in body["offsets"].items()}
@@ -137,6 +140,7 @@ class BrokerServer:
                 conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked read_frame
             except OSError:
                 pass  # its thread closed it meanwhile
+        self.broker.release_fetches()  # and a handler held in a fetch
         for t in self._threads:
             t.join(timeout=1.0)
 

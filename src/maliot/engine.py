@@ -1,7 +1,9 @@
 """Micro-batch inference engine: poll, featurize, score, emit, persist, commit.
 
-The commit is always last, after verdicts are out and raw rows are flushed
-to disk, so a crash anywhere in the cycle replays the batch rather than
+A batch is one held poll: the broker returns it once the row cap is met
+or the interval ends.  The commit is always last, after verdicts are out
+and raw rows are flushed to disk, and it rides the next batch's poll (or
+``close``), so a crash anywhere before that replays the batch rather than
 losing it.  Verdicts carry (partition, offset), taken from the polled Run,
 so downstream consumers can deduplicate those replays; a partition commits
 its last Run's end.  ``StreamEngine.run`` is the one cycle loop; it also
@@ -256,6 +258,7 @@ class StreamEngine:
         )
         self.on_before_commit = on_before_commit
         self._pending: tuple | None = None  # (model, codec) staged for swap
+        self._ends: dict[int, int] = {}  # the last batch's commit, sent with the next poll
         client.subscribe(config.group, config.topic)
 
     # -- hot swap ---------------------------------------------------------
@@ -294,34 +297,17 @@ class StreamEngine:
 
     # -- the micro-batch loop ---------------------------------------------
 
-    def _collect(self) -> tuple[list, list[float]]:
-        """Poll until the interval closes or the row cap fills; returns the
-        runs and, per run, the perf_counter at which its reply arrived, which
-        feeds the per-verdict latency figure."""
-        cfg = self.config
-        runs, arrivals, n = [], [], 0
-        deadline = time.perf_counter() + cfg.batch_interval_ms / 1000.0
-        while n < cfg.max_batch_rows:
-            remaining_ms = (deadline - time.perf_counter()) * 1000.0
-            if remaining_ms <= 0:
-                break
-            got = self.client.poll(cfg.group, cfg.topic, cfg.max_batch_rows - n,
-                                   remaining_ms)
-            if not got:
-                break
-            arrivals += [time.perf_counter()] * len(got)
-            runs += got
-            n += sum(len(run.values) for run in got)
-        return runs, arrivals
-
     def run_cycle(self) -> int:
         """One micro-batch; returns the number of rows consumed."""
         self._apply_pending()
-        model, codec = self.model, self.codec
-        runs, arrivals = self._collect()
+        model, codec, cfg = self.model, self.codec, self.config
+        runs = self.client.poll(cfg.group, cfg.topic, cfg.max_batch_rows,
+                                cfg.batch_interval_ms, min_messages=cfg.max_batch_rows,
+                                commit=self._ends)
+        self._ends = {}
         if not runs:
             return 0
-        t_start = time.perf_counter()
+        t_start = time.perf_counter()  # the reply's arrival, for verdict latency
 
         values = list(chain.from_iterable(run.values for run in runs))
         lengths = [len(run.values) for run in runs]
@@ -331,7 +317,7 @@ class StreamEngine:
 
         X, rows, ts, devices, errors = decode_batch(values, codec)
         for i, exc in errors:
-            log.debug("skipping %s[%d]@%d: %s", self.config.topic,
+            log.debug("skipping %s[%d]@%d: %s", cfg.topic,
                       partitions[i], offsets[i], exc)
         self.metrics.parse_error_reasons.update(exc.reason for _, exc in errors)
 
@@ -339,12 +325,10 @@ class StreamEngine:
         if rows:
             scores = models.score_batch(model, X)
             anomalous = models.labels_from_scores(model, scores)
-            emit_t = time.perf_counter()
             kept = partitions[rows].tolist()
-            arrival = np.repeat(arrivals, lengths)[rows]
-            latency_us = np.maximum((emit_t - arrival) * 1e6, 0.001).tolist()
+            latency_us = [max((time.perf_counter() - t_start) * 1e6, 0.001)] * len(rows)
             self.sink.emit(verdict_lines(
-                self.config.topic, model, kept, offsets[rows].tolist(),
+                cfg.topic, model, kept, offsets[rows].tolist(),
                 devices, ts, scores, anomalous, latency_us))
             self.sink.flush()
             if self.persister is not None:
@@ -355,8 +339,7 @@ class StreamEngine:
             self.on_before_commit(self)
 
         # a partition's runs arrive in offset order, so its last run ends it
-        ends = {run.partition: run.offset + len(run.values) for run in runs}
-        self.client.commit(self.config.group, self.config.topic, ends)
+        self._ends = {run.partition: run.offset + len(run.values) for run in runs}
 
         elapsed = time.perf_counter() - t_start
         m = self.metrics
@@ -407,9 +390,11 @@ class StreamEngine:
 
     def close(self) -> None:
         try:
+            if self._ends:
+                self.client.commit(self.config.group, self.config.topic, self._ends)
             self.client.leave(self.config.group, self.config.topic)
         except Exception:
-            log.debug("leave on close failed", exc_info=True)
+            log.warning("commit or leave on close failed", exc_info=True)
         if self.persister is not None:
             self.persister.close()
         self.sink.close()

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import threading
+import time
 import zlib
 
 import pytest
@@ -308,6 +310,93 @@ def test_poll_timeout_returns_empty(client):
     client.create_topic("t", 1)
     client.subscribe("g", "t")
     assert rows(client.poll("g", "t", 10, timeout_ms=30.0)) == []
+
+
+def _until_held(broker, topic):
+    """Wait until a fetch is held on ``topic``."""
+    deadline = time.monotonic() + 2.0
+    while not broker._marks.get(topic):
+        assert time.monotonic() < deadline, "no fetch was held"
+        time.sleep(0.005)
+
+
+def test_a_produce_below_a_held_fetchs_mark_wakes_nothing(broker, client):
+    broker.create_topic("t", 3)
+    client.subscribe("g", "t")
+    cond = broker._data_arrived
+    notify_all, wakes = cond.notify_all, []
+    cond.notify_all = lambda: (wakes.append(1), notify_all())
+    got = []
+    th = threading.Thread(target=lambda: got.extend(
+        client.poll("g", "t", 100, timeout_ms=5000.0, min_messages=5)))
+    th.start()
+    _until_held(broker, "t")
+    for i in range(4):
+        broker.produce("t", f"k{i}", str(i))
+    assert wakes == []
+    broker.produce("t", "k4", "4")
+    th.join(2.0)
+    assert not th.is_alive()
+    assert wakes == [1]
+    assert sorted(m.value for m in rows(got)) == ["0", "1", "2", "3", "4"]
+
+
+def test_held_fetches_lose_no_wake_up_under_contention(broker):
+    """Four groups hold fetches for 7 rows while three producers race; a
+    lost wake-up would leave a fetch short until its 5 s timeout."""
+    broker.create_topic("t", 3)
+    n_rows, produced = 3 * 200, threading.Event()
+    seen = {g: [] for g in "abcd"}
+    short_early = []
+
+    def produce(i):
+        for j in range(200):
+            broker.produce("t", f"k{i}-{j % 5}", f"{i}:{j}")
+
+    def consume(group):
+        c = InProcClient(broker, consumer_id=group)
+        c.subscribe(group, "t")
+        while len(seen[group]) < n_rows:
+            wait_ms = 50.0 if produced.is_set() else 5000.0  # the tail is short of 7
+            got = rows(c.poll(group, "t", 1000, timeout_ms=wait_ms, min_messages=7))
+            if len(got) < 7 and not produced.is_set():
+                short_early.append((group, len(got)))
+            seen[group].extend(m.value for m in got)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consumers = [threading.Thread(target=consume, args=(g,)) for g in seen]
+        producers = [threading.Thread(target=produce, args=(i,)) for i in range(3)]
+        for t in consumers + producers:
+            t.start()
+        for t in producers:
+            t.join(10.0)
+        produced.set()
+        broker.release_fetches()
+        for t in consumers:
+            t.join(10.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in consumers + producers)
+    assert short_early == []
+    assert all(sorted(v) == sorted(f"{i}:{j}" for i in range(3) for j in range(200))
+               for v in seen.values())
+
+
+def test_broker_close_returns_a_held_fetch(broker, client):
+    broker.create_topic("t", 1)
+    client.subscribe("g", "t")
+    got = []
+    th = threading.Thread(target=lambda: got.append(
+        client.poll("g", "t", 10, timeout_ms=5000.0)))
+    th.start()
+    _until_held(broker, "t")
+    t0 = time.perf_counter()
+    broker.close()
+    th.join(2.0)
+    assert time.perf_counter() - t0 < 0.2
+    assert got == [[]]
 
 
 def test_error_conditions(broker, tmp_path):

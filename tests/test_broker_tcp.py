@@ -230,6 +230,84 @@ def test_close_does_not_wait_on_idle_clients(tmp_path):
     assert elapsed < 0.5
 
 
+def test_close_returns_a_held_fetch(tmp_path):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("t", 1)
+    server = BrokerServer(broker, port=0)
+    server.start()
+    client = TcpClient(server.host, server.port)
+    client.subscribe("g", "t")
+
+    def held_poll():
+        try:
+            client.poll("g", "t", 10, timeout_ms=5000.0)
+        except BrokerUnreachableError:
+            pass
+
+    th = threading.Thread(target=held_poll)
+    th.start()
+    time.sleep(0.2)  # the handler thread is now held in Broker.fetch
+    handlers = list(server._threads)
+    t0 = time.perf_counter()
+    server.close()
+    elapsed = time.perf_counter() - t0
+    th.join(6.0)
+    client.close()
+    broker.close()
+    assert elapsed < 0.2
+    assert handlers and not any(t.is_alive() for t in handlers)
+
+
+def _consumer(served, transport):
+    broker, server = served
+    if transport == "tcp":
+        return TcpClient(server.host, server.port)
+    return InProcClient(broker)
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_held_fetch_returns_when_its_fifth_row_lands(served, transport):
+    broker, _ = served
+    broker.create_topic("t", 3)
+    client = _consumer(served, transport)
+    client.subscribe("g", "t")
+    got = {}
+
+    def held_poll():
+        got["runs"] = client.poll("g", "t", 100, timeout_ms=5000.0, min_messages=5)
+        got["at"] = time.perf_counter()
+
+    th = threading.Thread(target=held_poll)
+    th.start()
+    for i in range(4):
+        broker.produce("t", f"k{i}", str(i))
+    time.sleep(0.1)
+    assert th.is_alive()  # four rows do not fill it
+    fifth = time.perf_counter()
+    broker.produce("t", "k4", "4")
+    th.join(2.0)
+    client.close()
+    assert not th.is_alive()
+    assert got["at"] - fifth < 1.0  # long before the 5 s timeout
+    assert sorted(m.value for m in rows(got["runs"])) == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_held_fetch_short_of_rows_returns_them_at_its_deadline(served, transport):
+    broker, _ = served
+    broker.create_topic("t", 3)
+    for i in range(3):
+        broker.produce("t", f"k{i}", str(i))
+    client = _consumer(served, transport)
+    client.subscribe("g", "t")
+    t0 = time.perf_counter()
+    runs = client.poll("g", "t", 100, timeout_ms=300.0, min_messages=5)
+    elapsed = time.perf_counter() - t0
+    client.close()
+    assert sorted(m.value for m in rows(runs)) == ["0", "1", "2"]
+    assert 0.29 <= elapsed < 1.0
+
+
 def test_server_keeps_only_live_connection_threads(served):
     broker, server = served
     broker.create_topic("t", 1)

@@ -1,8 +1,9 @@
 """Model-based check of at-least-once delivery over both clients.
 
 A Hypothesis state machine drives a real broker, its TCP server and both
-client kinds through produces, polls, commits, consumer crashes, replies
-lost on the wire, replies cut by the frame cap and broker restarts.  Every
+client kinds through produces, polls, commits, polls that carry a commit,
+held polls, consumer crashes, replies lost on the wire, replies cut by the
+frame cap and broker restarts.  Every
 step is checked against a plain-dict model: the log of (key, value) rows
 per partition, and per group its committed offsets and its session's read
 positions.  Group "h" consumes another topic beside group "g"; since each
@@ -82,13 +83,17 @@ class DeliveryMachine(RuleBasedStateMachine):
         for group, transport in zip(sorted(GROUPS), transports):
             self._start_session(group, transport)
 
-    def _poll_and_check(self, group, max_messages):
+    def _unread(self, group):
         topic = GROUPS[group]
-        runs = self.clients[group].poll(group, topic, max_messages)
+        return sum(len(log) - self.position[group].get(p, 0)
+                   for p, log in enumerate(self.log[topic]))
+
+    def _poll_and_check(self, group, max_messages, **kwargs):
+        topic = GROUPS[group]
+        unread = self._unread(group)
+        runs = self.clients[group].poll(group, topic, max_messages, **kwargs)
         assert len(rows(runs)) <= max_messages
-        unread = any(self.position[group].get(p, 0) < len(log)
-                     for p, log in enumerate(self.log[topic]))
-        assert bool(runs) == unread
+        assert bool(runs) == bool(unread)
         for run in runs:
             # each run continues its partition exactly at the session's
             # position, and holds that topic's log from there: a row of
@@ -135,6 +140,22 @@ class DeliveryMachine(RuleBasedStateMachine):
         self.committed[group].update(self.position[group])
         assert self.broker.committed(group, topic) == self.committed[group]
 
+    @rule(group=groups, max_messages=st.integers(1, 20))
+    def poll_carrying_a_commit(self, group, max_messages):
+        done = dict(self.position[group])
+        self._poll_and_check(group, max_messages, commit=done)
+        self.committed[group].update(done)
+        assert self.broker.committed(group, GROUPS[group]) == self.committed[group]
+
+    @rule(group=groups)
+    def held_poll_short_of_rows(self, group):
+        # more rows wanted than there are: it returns every unread row at
+        # its deadline
+        unread = self._unread(group)
+        runs = self._poll_and_check(group, 1000, timeout_ms=5.0,
+                                    min_messages=unread + 1)
+        assert len(rows(runs)) == unread
+
     @rule(group=groups, transport=st.sampled_from(TRANSPORTS + ("same",)))
     def consumer_crashes_before_commit(self, group, transport):
         if transport == "same":
@@ -145,17 +166,22 @@ class DeliveryMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: any(isinstance(c, TcpClient)
                                    for c in self.clients.values()))
-    @rule(data=st.data())
-    def reply_lost_after_the_broker_handled_the_poll(self, data):
+    @rule(data=st.data(), carries_commit=st.booleans())
+    def reply_lost_after_the_broker_handled_the_poll(self, data, carries_commit):
         tcp = sorted(g for g, c in self.clients.items() if isinstance(c, TcpClient))
         group = data.draw(st.sampled_from(tcp))
+        done = dict(self.position[group]) if carries_commit else {}
         self.proxy.drop_next_reply()
         try:
-            self.clients[group].poll(group, GROUPS[group], 20)
+            self.clients[group].poll(group, GROUPS[group], 20, commit=done)
         except BrokerUnreachableError:
             pass
         else:
             raise AssertionError("the proxy relayed a reply it should drop")
+        # the broker applied the commit; the positions did not move, which
+        # the next poll's check of each run's start confirms
+        self.committed[group].update(done)
+        assert self.broker.committed(group, GROUPS[group]) == self.committed[group]
 
     @rule()
     def broker_restarts(self):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import os
+import threading
 import time
 
 import numpy as np
@@ -186,38 +187,105 @@ def test_crash_before_commit_redelivers(stack, tmp_path, small_corpus):
     assert len(dedup) == len(small_corpus)     # and dedup recovers exactly all
 
 
-def test_a_batch_of_two_polls_commits_the_end_of_the_later_run(
+def test_a_batch_whose_runs_span_partitions_commits_each_partitions_end(
         tmp_path, small_corpus):
     broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
-    broker.create_topic("flows", 1)
-    first, later = small_corpus[:5], small_corpus[5:8]
-    for r in first:
-        broker.produce("flows", r.device_id, format_row(r))
-
-    class ProducesAfterFirstPoll(InProcClient):
-        polls = []
-
-        def poll(self, *args, **kwargs):
-            runs = super().poll(*args, **kwargs)
-            self.polls.append([(run.partition, run.offset, len(run.values))
-                               for run in runs])
-            if len(self.polls) == 1:
-                for r in later:
-                    broker.produce("flows", r.device_id, format_row(r))
-            return runs
-
-    client = ProducesAfterFirstPoll(broker)
+    broker.create_topic("flows", 3)
+    for i, r in enumerate(small_corpus[:12]):
+        broker.produce("flows", f"k{i}", format_row(r))
+    ends = {p: broker.partition_length("flows", p) for p in range(3)}
+    assert all(ends.values())  # every partition holds rows
     config = EngineConfig(model_path=_trained_model(small_corpus, tmp_path),
                           sink_path=str(tmp_path / "v.jsonl"),
-                          batch_interval_ms=200.0)
-    engine = StreamEngine(client, config)
-    assert engine.run_cycle() == 8
+                          batch_interval_ms=20.0)
+    engine = StreamEngine(InProcClient(broker), config)
+    assert engine.run_cycle() == 12  # one batch, one run per partition
+    assert broker.committed("engine", "flows") == {}  # it rides the next poll
+    assert engine.run_cycle() == 0
+    assert broker.committed("engine", "flows") == ends
     engine.close()
-    assert client.polls[:2] == [[(0, 0, 5)], [(0, 5, 3)]]  # one batch, two runs
-    assert broker.committed("engine", "flows") == {0: 8}
     verdicts = _read_verdicts(tmp_path / "v.jsonl")
-    assert [v["offset"] for v in verdicts] == list(range(8))
+    for p, end in ends.items():
+        assert [v["offset"] for v in verdicts if v["partition"] == p] == list(range(end))
     broker.close()
+
+
+class CountingClient(InProcClient):
+    """Records each poll's piggybacked commit, the rows it returned, and
+    every separate commit call."""
+
+    def __init__(self, broker):
+        super().__init__(broker)
+        self.polls, self.commits = [], []
+
+    def poll(self, group, topic, *args, commit=None, **kwargs):
+        runs = super().poll(group, topic, *args, commit=commit, **kwargs)
+        ends = {run.partition: run.offset + len(run.values) for run in runs}
+        self.polls.append((dict(commit or {}), ends))
+        return runs
+
+    def commit(self, group, topic, offsets):
+        self.commits.append(dict(offsets))
+        super().commit(group, topic, offsets)
+
+
+def test_a_steady_stream_costs_one_poll_per_batch_carrying_the_commit(
+        tmp_path, small_corpus):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 3)
+    stream = small_corpus[:120]
+
+    def produce():
+        for r in stream:
+            broker.produce("flows", r.device_id, format_row(r))
+            time.sleep(0.002)
+
+    client = CountingClient(broker)
+    engine = StreamEngine(client, EngineConfig(
+        model_path=_trained_model(small_corpus, tmp_path),
+        sink_path=str(tmp_path / "v.jsonl"), batch_interval_ms=10.0))
+    producer = threading.Thread(target=produce)
+    producer.start()
+    cycles = 0
+    while engine.metrics.rows < len(stream):
+        engine.run_cycle()
+        cycles += 1
+    producer.join()
+    assert engine.metrics.batches > 5  # the stream spans many batches
+    assert len(client.polls) == cycles  # one request per batch
+    assert client.commits == []  # and no commit request of its own
+    # each poll carries the commit of the batch before it
+    assert client.polls[0][0] == {}
+    for (_, before), (commit, _) in zip(client.polls, client.polls[1:]):
+        assert commit == before
+    last_ends = client.polls[-1][1]
+    engine.close()
+    assert client.commits == [last_ends]  # close sends the last one
+    assert broker.committed("engine", "flows") == {
+        p: broker.partition_length("flows", p) for p in range(3)
+        if broker.partition_length("flows", p)}
+    broker.close()
+
+
+def test_a_crash_between_a_batch_and_the_next_poll_redelivers_it(
+        stack, tmp_path, small_corpus):
+    broker, model_path = stack
+    engine = _engine(broker, model_path, tmp_path, max_batch_rows=50)
+    assert engine.run_cycle() == 50
+    first = {(v["partition"], v["offset"])
+             for v in _read_verdicts(tmp_path / "verdicts.jsonl")}
+    engine.sink.close()  # the engine dies here: no next poll, no close()
+    assert broker.committed("engine", "flows") == {}
+
+    engine2 = _engine(broker, model_path, tmp_path,
+                      sink_path=str(tmp_path / "after.jsonl"))
+    engine2.run(idle_limit=2)
+    engine2.close()
+    again = {(v["partition"], v["offset"])
+             for v in _read_verdicts(tmp_path / "after.jsonl")}
+    assert len(first) == 50
+    assert first <= again  # the batch is redelivered
+    assert len(again) == len(small_corpus)
 
 
 def test_hot_swap_applies_at_batch_boundary(tmp_path, small_corpus):
