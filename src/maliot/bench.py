@@ -110,14 +110,6 @@ def _timing_row(kind: str, feature_set: str, batch_size: int,
     }
 
 
-def _noop_one(x) -> Prediction:
-    return Prediction("benign", 0.0)
-
-
-def _noop_many(X) -> list[Prediction]:
-    return [Prediction("benign", 0.0)] * X.shape[0]
-
-
 def bench_inference(trained: list, codecs: list, records: list,
                     repetitions: int = 5, seed: int = 0,
                     single_sample: int = 200) -> BenchReport:
@@ -146,38 +138,29 @@ def bench_inference(trained: list, codecs: list, records: list,
             reps.append((time.perf_counter() - t0) * 1e6 / len(records))
         encoded[fp] = (X, float(np.median(reps)))
 
-    cheapest_X = None
+    timed = []  # (kind, feature set, X, featurize us, one-row fn, batch fn)
     for model in trained:
         codec = by_fp.get(model.codec_fingerprint)
         if codec is None:
             raise ValueError(f"no codec provided for {model.kind}")
         X, featurize_us = encoded[codec.fingerprint()]
-        if cheapest_X is None:
-            cheapest_X = X
+        timed.append((model.kind, codec.feature_set, X, featurize_us,
+                      lambda x, m=model: models.predict(m, x),
+                      lambda XX, m=model: models.predict_batch(m, XX)))
+    # harness self-check rows: a model that does nothing at all
+    timed.append(("noop", "", timed[0][2], None, lambda x: Prediction("benign", 0.0),
+                  lambda XX: [Prediction("benign", 0.0)] * XX.shape[0]))
+    for kind, feature_set, X, featurize_us, fn_one, fn_many in timed:
         sample = rng.choice(X.shape[0], size=min(single_sample, X.shape[0]),
                             replace=False)
-        fn_one = lambda x, m=model: models.predict(m, x)
-        fn_many = lambda XX, m=model: models.predict_batch(m, XX)
         fn_one(X[0])  # warm-up
         fn_many(X[:MIN_BENCH_ROWS])
         rep_means, pool = _time_single(fn_one, X, sample, repetitions)
         report.rows.append(_timing_row(
-            model.kind, codec.feature_set, 1, rep_means, pool, featurize_us))
+            kind, feature_set, 1, rep_means, pool, featurize_us))
         batch_reps = _time_batch(fn_many, X[:MIN_BENCH_ROWS], repetitions)
         report.rows.append(_timing_row(
-            model.kind, codec.feature_set, MIN_BENCH_ROWS, batch_reps, None,
-            featurize_us))
-
-    # harness self-check rows: a model that does nothing at all
-    sample = rng.choice(cheapest_X.shape[0],
-                        size=min(single_sample, cheapest_X.shape[0]),
-                        replace=False)
-    _noop_one(cheapest_X[0])
-    _noop_many(cheapest_X[:MIN_BENCH_ROWS])
-    rep_means, pool = _time_single(_noop_one, cheapest_X, sample, repetitions)
-    report.rows.append(_timing_row("noop", "", 1, rep_means, pool, None))
-    batch_reps = _time_batch(_noop_many, cheapest_X[:MIN_BENCH_ROWS], repetitions)
-    report.rows.append(_timing_row("noop", "", MIN_BENCH_ROWS, batch_reps, None, None))
+            kind, feature_set, MIN_BENCH_ROWS, batch_reps, None, featurize_us))
     return report
 
 
@@ -188,6 +171,17 @@ DEFAULT_BENCH_MODEL_CONFIGS = {
     # for exactly this use
     "ann": MlpConfig(n_epoch=30),
 }
+
+
+def fit_kinds(kinds, records, feature_set: str, seed: int,
+              configs=DEFAULT_BENCH_MODEL_CONFIGS) -> tuple:
+    """(codec, models): a codec fitted on the records, and each kind
+    trained on them with its config from ``configs`` (default if absent)."""
+    codec = fit_codec(records, feature_set)
+    X, y = encode_batch(records, codec)
+    return codec, [models.train(kind, X, y, config=configs.get(kind), seed=seed,
+                                codec_fingerprint=codec.fingerprint())
+                   for kind in kinds]
 
 
 def split_records(records: list, split: float, seed: int) -> tuple[list, list]:
@@ -206,14 +200,9 @@ def bench_accuracy(kinds: list[str], feature_sets: list[str],
     train_recs, test_recs = split_records(records, split, seed)
     report = _new_report("accuracy", seed)
     for fs in feature_sets:
-        codec = fit_codec(train_recs, fs)
-        Xtr, ytr = encode_batch(train_recs, codec)
+        codec, fitted = fit_kinds(kinds, train_recs, fs, seed, model_configs)
         Xte, yte = encode_batch(test_recs, codec)
-        for kind in kinds:
-            model = models.train(
-                kind, Xtr, ytr, config=model_configs.get(kind), seed=seed,
-                codec_fingerprint=codec.fingerprint(),
-            )
+        for kind, model in zip(kinds, fitted):
             m = models.evaluate(model, Xte, yte)
             report.rows.append({
                 "experiment": "accuracy",

@@ -141,6 +141,10 @@ class TcpClient(_PositionKeeper):
 
     def _call(self, opcode: int, body: dict) -> dict:
         sock = self._connect()
+        # a held POLL is answered up to its timeout_ms late
+        timeout = self.timeout_s + body.get("timeout_ms", 0) / 1000.0
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
         try:
             sock.sendall(encode_frame(opcode, body))
             op, reply = read_frame(sock)

@@ -20,6 +20,7 @@ from . import bench as bench_mod
 from . import models, sim
 from .broker import Broker, BrokerConfig, BrokerServer, TcpClient
 from .broker.protocol import ProtocolError
+from .decode import read_labeled
 from .engine import EngineConfig, StreamEngine, codec_path_for, retrain_from_persisted
 from .errors import (
     BadConfigError,
@@ -27,7 +28,7 @@ from .errors import (
     MaliotError,
     ModelLoadError,
 )
-from .features import encode_batch, fit_codec
+from .features import encode_columns, fit_raw
 from .flows import (MALIOT_CSV_HEADER, format_row, read_dataset, sniff_dialect,
                     write_records)
 from .models import LinearConfig, MlpConfig
@@ -203,19 +204,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_training_files(paths: list[str]):
-    records = []
-    rejected = 0
-    for path in paths:
-        dialect = sniff_dialect(path)
-        rows, stats = read_dataset(path, dialect)
-        records.extend(rows)
-        rejected += stats.rows_rejected
-        log.info("read %d rows from %s (%s, %d rejected)",
-                 len(rows), path, dialect, stats.rows_rejected)
-    return records, rejected
-
-
 def _model_config_for(kind: str, epochs: int | None):
     if epochs is None:
         return None
@@ -230,12 +218,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     kind, out = args.model, args.out
     if not out:
         raise BadConfigError("--out is required")
-    records, rejected = _load_training_files(args.data)
-    train_recs, test_recs = bench_mod.split_records(records, 0.8, args.seed)
-    codec = fit_codec(train_recs, args.features)
-    Xtr, ytr = encode_batch(train_recs, codec)
+    cols, rows, rejected = read_labeled(
+        [(path, sniff_dialect(path)) for path in args.data], args.features)
+    # split_records over a range gives the two row index lists
+    train_idx, test_idx = bench_mod.split_records(range(len(cols.labels)), 0.8, args.seed)
+    train, test = cols.take(train_idx), cols.take(test_idx)
+    codec = fit_raw(train.raw, args.features)
     model = models.train(
-        kind, Xtr, ytr,
+        kind, encode_columns(train, codec), train.labels,
         config=_model_config_for(kind, args.epochs),
         seed=args.seed, codec_fingerprint=codec.fingerprint(),
         version=args.version,
@@ -243,11 +233,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     # codec first: `serve --watch-model` watches the model file
     codec.save(codec_path_for(out))
     models.save_model(model, out)
-    Xte, yte = encode_batch(test_recs, codec)
-    metrics = models.evaluate(model, Xte, yte)
+    metrics = models.evaluate(model, encode_columns(test, codec), test.labels)
     print(json.dumps({
         "kind": kind, "feature_set": args.features, "version": model.version,
-        "rows": len(records), "rejected": rejected,
+        "rows": rows, "rejected": rejected,
         "accuracy": metrics.accuracy, "precision": metrics.precision,
         "recall": metrics.recall, "f1": metrics.f1,
         "confusion": metrics.confusion,
@@ -364,17 +353,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     elif experiment == "inference":
         records = sim.generate(config)
         train_recs, _ = bench_mod.split_records(records, 0.8, seed)
-        trained, codecs = [], []
-        for fs in args.features:
-            codec = fit_codec(train_recs, fs)
-            X, y = encode_batch(train_recs, codec)
-            codecs.append(codec)
-            for kind in kinds:
-                trained.append(models.train(
-                    kind, X, y,
-                    config=bench_mod.DEFAULT_BENCH_MODEL_CONFIGS.get(kind),
-                    seed=seed, codec_fingerprint=codec.fingerprint()))
-        report = bench_mod.bench_inference(trained, codecs, records,
+        fits = [bench_mod.fit_kinds(kinds, train_recs, fs, seed) for fs in args.features]
+        trained = [model for _, fitted in fits for model in fitted]
+        report = bench_mod.bench_inference(trained, [codec for codec, _ in fits], records,
                                            repetitions=args.reps, seed=seed)
     else:
         work = os.path.join(args.out_dir, "scale-work")
@@ -382,10 +363,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fs = args.features[0]
         train_cfg = sim.SimConfig(n_devices=9, duration_s=5.0, seed=seed)
         train_recs = sim.generate(train_cfg)
-        codec = fit_codec(train_recs, fs)
-        X, y = encode_batch(train_recs, codec)
-        model = models.train(kinds[0], X, y, seed=seed,
-                             codec_fingerprint=codec.fingerprint())
+        codec, [model] = bench_mod.fit_kinds(kinds[:1], train_recs, fs, seed, {})
         model_path = os.path.join(work, "scale-model.json")
         models.save_model(model, model_path)
         codec.save(codec_path_for(model_path))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import mmap
 import os
 import sys
 import time
@@ -32,9 +33,9 @@ from .errors import (
     ModelLoadError,
     VersionRegressionError,
 )
-from .decode import decode_batch
-from .features import FeatureCodec, encode_batch, fit_codec
-from .flows import MALIOT_CSV_HEADER, read_dataset
+from .decode import decode_batch, read_labeled
+from .features import FeatureCodec, encode_columns, fit_raw
+from .flows import MALIOT_CSV_HEADER
 
 log = logging.getLogger(__name__)
 
@@ -156,6 +157,23 @@ def make_sink(config: EngineConfig) -> LineSink:
     raise BadConfigError(f"sink {config.sink!r}, want one of {SINKS}")
 
 
+def _open_appending(path: str):
+    """Open a persisted file to append rows, with the header if it is new.
+    A row a crash tore is cut at the last newline, as broker recovery does:
+    its batch was never committed, so it is replayed.  A newline alone would
+    keep the fragment, and one torn inside ``device_id`` parses as a row."""
+    keep = 0
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as tail:
+                keep = tail.rfind(b"\n") + 1
+            fh.truncate(keep)
+    out = open(path, "a", encoding="utf-8")
+    if not keep:
+        out.write(MALIOT_CSV_HEADER + "\n")
+    return out
+
+
 class _Persister:
     """Appends raw rows as received, one file per (topic, partition, hour).
 
@@ -183,10 +201,7 @@ class _Persister:
             if fh is None:
                 stamp = time.strftime("%Y%m%d%H", time.gmtime(hour * 3600))
                 path = os.path.join(self.root, f"{self.topic}-{partition}-{stamp}.csv")
-                fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-                fh = self._files[partition, hour] = open(path, "a", encoding="utf-8")
-                if fresh:
-                    fh.write(MALIOT_CSV_HEADER + "\n")
+                fh = self._files[partition, hour] = _open_appending(path)
             fh.write("\n".join(rows) + "\n")
             self._written.add((partition, hour))
 
@@ -411,17 +426,13 @@ def retrain_from_persisted(persist_dir: str, kind: str, feature_set: str,
     names = sorted(
         n for n in os.listdir(persist_dir) if n.endswith(".csv")
     ) if os.path.isdir(persist_dir) else []
-    records = []
-    for name in names:
-        rows, _ = read_dataset(os.path.join(persist_dir, name), "maliot_csv")
-        records.extend(rows)
-    records = [r for r in records if r.label is not None]
-    if not records:
+    cols, _, _ = read_labeled(
+        [(os.path.join(persist_dir, n), "maliot_csv") for n in names], feature_set)
+    if not len(cols.labels):
         raise EmptyDatasetError(f"no labeled rows under {persist_dir!r}")
-    codec = fit_codec(records, feature_set)
-    X, y = encode_batch(records, codec)
+    codec = fit_raw(cols.raw, feature_set)
     model = models.train(
-        kind, X, y, config=config, seed=seed,
+        kind, encode_columns(cols, codec), cols.labels, config=config, seed=seed,
         codec_fingerprint=codec.fingerprint(), version=version,
     )
     return model, codec

@@ -102,28 +102,11 @@ class MessageTooLargeError(BrokerError):
     """Produce refused: the message alone would not fit in a POLL reply."""
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 # name -> class registry so the wire protocol can rehydrate errors
-ERROR_REGISTRY = {
-    cls.__name__: cls
-    for cls in (
-        BadConfigError,
-        ParseError,
-        EmptyDatasetError,
-        SingleClassDataError,
-        InsufficientDataError,
-        DimensionMismatchError,
-        CodecMismatchError,
-        VersionMismatchError,
-        VersionRegressionError,
-        CorruptModelError,
-        ModelLoadError,
-        TopicExistsError,
-        BadPartitionCountError,
-        UnknownTopicError,
-        OffsetOutOfRangeError,
-        BackpressureTimeoutError,
-        BrokerUnreachableError,
-        ProtocolError,
-        MessageTooLargeError,
-    )
-}
+ERROR_REGISTRY = {cls.__name__: cls for cls in _subclasses(MaliotError)}

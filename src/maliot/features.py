@@ -20,17 +20,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyDatasetError
-from .flows import CONN_STATES, PROTOS, SERVICES, FlowRecord, LABEL_ANOMALY
+from .flows import CONN_STATES, LABEL_ANOMALY, LABEL_BENIGN, PROTOS, SERVICES, FlowRecord
 from .hashing import hash_to_unit, is_private_ip
 
 FEATURE_SETS = ("full", "de_identified")
 
 # unlabeled records encode with this label value in batch arrays
 UNLABELED = -1
+LABEL_CODES = {None: UNLABELED, LABEL_BENIGN: 0, LABEL_ANOMALY: 1}
 
 CODEC_FORMAT_VERSION = 1
 
@@ -52,8 +55,33 @@ def numeric_feature_names(feature_set: str) -> tuple[str, ...]:
     raise ValueError(f"unknown feature set {feature_set!r}")
 
 
-def _numeric_columns(records: list[FlowRecord], feature_set: str) -> np.ndarray:
-    """Raw numeric matrix (n, k) with NaN for missing values."""
+class Columns(NamedTuple):
+    """Rows as columns: raw numerics (n, k) in ``numeric_feature_names``
+    order with NaN for missing, the normalized proto/service/conn_state
+    columns, labels (0, 1 or UNLABELED), ts and device ids."""
+
+    raw: np.ndarray
+    protos: list
+    services: list
+    states: list
+    labels: np.ndarray
+    ts: np.ndarray
+    devices: list
+
+    def take(self, idx) -> "Columns":
+        """The rows at ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        picks = idx.tolist()
+        return Columns(*(c[idx] if isinstance(c, np.ndarray) else [c[i] for i in picks]
+                         for c in self))
+
+
+def concat_columns(parts) -> Columns:
+    return Columns(*(np.concatenate(c) if isinstance(c[0], np.ndarray)
+                     else list(chain.from_iterable(c)) for c in zip(*parts)))
+
+
+def record_columns(records: list[FlowRecord], feature_set: str) -> Columns:
     def column(name: str) -> list[float]:
         if name.endswith(("_hash", "_private")):
             ip, kind = name.rsplit("_", 1)
@@ -61,8 +89,13 @@ def _numeric_columns(records: list[FlowRecord], feature_set: str) -> np.ndarray:
             return [float(fn(getattr(r, ip))) for r in records]
         values = [getattr(r, name) for r in records]
         return [float("nan") if v is None else float(v) for v in values]
-    return np.array([column(f) for f in numeric_feature_names(feature_set)],
-                    dtype=np.float64).T
+    raw = np.array([column(f) for f in numeric_feature_names(feature_set)],
+                   dtype=np.float64).T
+    return Columns(raw, [r.proto for r in records], [r.service for r in records],
+                   [r.conn_state for r in records],
+                   np.array([LABEL_CODES[r.label] for r in records], dtype=np.int8),
+                   np.array([r.ts for r in records], dtype=np.float64),
+                   [r.device_id for r in records])
 
 
 @dataclass
@@ -128,18 +161,22 @@ class FeatureCodec:
 
 
 def fit_codec(records: list[FlowRecord], feature_set: str) -> FeatureCodec:
-    """Fit normalization statistics; deterministic for a given sequence.
+    """``fit_raw`` of the records' raw numeric columns."""
+    return fit_raw(record_columns(list(records), feature_set).raw, feature_set)
+
+
+def fit_raw(raw: np.ndarray, feature_set: str) -> FeatureCodec:
+    """Fit normalization statistics; deterministic for a given matrix.
 
     Means/stddevs are computed over non-missing values only; columns with
     zero variance (or no observed values) store stddev 1 so encoding never
     divides by zero.
     """
-    records = list(records)
-    if len(records) < 2:
-        raise EmptyDatasetError("fit_codec needs at least 2 records")
+    if len(raw) < 2:
+        raise EmptyDatasetError("fitting a codec needs at least 2 rows")
     if feature_set not in FEATURE_SETS:
         raise ValueError(f"unknown feature set {feature_set!r}")
-    raw = _numeric_columns(records, feature_set)
+    raw = np.asfortranarray(raw)  # numpy's float sum of a column depends on the layout
     with np.errstate(invalid="ignore"):
         means = np.nanmean(raw, axis=0)
         stds = np.nanstd(raw, axis=0)
@@ -163,35 +200,27 @@ def encode_batch(records: list[FlowRecord], codec: FeatureCodec):
     0 benign, 1 anomaly, UNLABELED (-1) for records without a label.
     Row i depends only on records[i], so it equals a 1-row encode exactly.
     """
-    records = list(records)
-    n = len(records)
-    X = encode_columns(_numeric_columns(records, codec.feature_set),
-                       [r.proto for r in records], [r.service for r in records],
-                       [r.conn_state for r in records], codec)
-    y = np.fromiter(
-        (UNLABELED if r.label is None else int(r.label == LABEL_ANOMALY)
-         for r in records),
-        dtype=np.int8, count=n)
-    return X, y
+    cols = record_columns(list(records), codec.feature_set)
+    return encode_columns(cols, codec), cols.labels
 
 
-def encode_columns(raw, protos, services, states, codec: FeatureCodec) -> np.ndarray:
-    """X from the raw numeric matrix (NaN for missing, columns as
-    ``numeric_feature_names``) and the normalized categorical columns."""
-    n = len(protos)
+def encode_columns(cols: Columns, codec: FeatureCodec) -> np.ndarray:
+    """X from Columns whose raw matrix has the codec's feature set."""
+    n = len(cols.protos)
     k = len(codec.numeric_means)
     X = np.zeros((n, codec.width), dtype=np.float64)
     if n == 0:
         return X
-    z = (raw - codec.numeric_means) / codec.numeric_stddevs
+    z = X[:, :k]  # z-scores go straight into X: no temporary the size of raw
+    np.subtract(cols.raw, codec.numeric_means, out=z)
+    z /= codec.numeric_stddevs
     z[~np.isfinite(z)] = 0.0
-    X[:, :k] = z
     rows = np.arange(n)
     off = k
     for names, vocab, index in (
-            (protos, codec.vocab_proto, codec._proto_idx),
-            (services, codec.vocab_service, codec._service_idx),
-            (states, codec.vocab_conn_state, codec._state_idx)):
+            (cols.protos, codec.vocab_proto, codec._proto_idx),
+            (cols.services, codec.vocab_service, codec._service_idx),
+            (cols.states, codec.vocab_conn_state, codec._state_idx)):
         other = index["other"]
         X[rows, off + np.fromiter(
             (index.get(s, other) for s in names), dtype=np.int64, count=n)] = 1.0

@@ -278,55 +278,34 @@ def write_records(records, path) -> int:
     return n
 
 
-def _header_columns(first_line: str, dialect: str) -> tuple[str, ...] | None:
-    """Column order declared by a file's own header, if any."""
-    if dialect == "iot23_conn_log":
-        if first_line.startswith("#fields"):
-            return tuple(first_line.rstrip("\n").split("\t")[1:])
-        return None
-    # csv dialects: header row is plain column names
-    names = _split_csv(first_line)
-    return tuple(s.strip() for s in names)
-
-
-def iter_dataset(path, dialect: str, stats: ParseStats | None = None):
-    """Yield FlowRecords from a file, skipping (and counting) bad rows."""
-    if dialect not in DIALECTS:
-        raise ValueError(f"unknown dialect {dialect!r}")
-    stats = stats if stats is not None else ParseStats()
-    columns = None
-    with open(path, "r", encoding="utf-8") as fh:
-        first = True
-        for line in fh:
-            if not line.strip():
-                continue
-            if dialect == "iot23_conn_log":
-                if line.startswith("#"):
-                    if line.startswith("#fields"):
-                        columns = _header_columns(line, dialect)
-                    continue
-            elif first:
-                first = False
-                columns = _header_columns(line, dialect)
-                continue
-            first = False
-            try:
-                yield parse_record(line, dialect, columns)
-            except ParseError:
-                stats.rows_rejected += 1
-
-
 def read_dataset(path, dialect: str) -> tuple[list[FlowRecord], ParseStats]:
     """Read a whole file; returns (records, ParseStats).
 
-    Rejected rows are skipped, not fatal. Raises OSError if the file
-    cannot be read.
+    Blank lines are skipped, and so is the header: a csv dialect's first
+    other line, or a conn.log's ``#`` lines, whose ``#fields`` line sets
+    the column order.  Rejected rows are counted, not fatal.  Raises
+    OSError if the file cannot be read.
     """
-    stats = ParseStats()
-    records = []
-    for rec in iter_dataset(path, dialect, stats):
-        stats.count(rec)
-        records.append(rec)
+    if dialect not in DIALECTS:
+        raise ValueError(f"unknown dialect {dialect!r}")
+    stats, records, columns = ParseStats(), [], None
+    header = dialect != "iot23_conn_log"
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            if dialect == "iot23_conn_log" and line.startswith("#"):
+                if line.startswith("#fields"):
+                    columns = tuple(line.rstrip("\n").split("\t")[1:])
+            elif header:  # a csv header row is plain column names
+                header, columns = False, tuple(s.strip() for s in _split_csv(line))
+            else:
+                try:
+                    records.append(parse_record(line, dialect, columns))
+                except ParseError:
+                    stats.rows_rejected += 1
+                    continue
+                stats.count(records[-1])
     return records, stats
 
 

@@ -76,10 +76,6 @@ class TrainedModel:
     version: int = 1
     trained_at: float = 0.0
 
-    @property
-    def width(self) -> int:
-        return int(self.params["width"])
-
 
 class Prediction(NamedTuple):
     label: str
@@ -141,6 +137,14 @@ def as_training_matrix(X, y, kind: str, discriminative: bool) -> tuple[np.ndarra
     if discriminative and len(uniq) < 2:
         raise SingleClassDataError(f"{kind} needs both classes, got only {uniq}")
     return X, y
+
+
+def minibatches(n: int, n_batch: int, n_epoch: int, rng: np.random.Generator):
+    """Row indexes of each mini-batch: a fresh permutation per epoch."""
+    for _ in range(n_epoch):
+        order = rng.permutation(n)
+        for start in range(0, n, n_batch):
+            yield order[start : start + n_batch]
 
 
 def check_width(params: dict, X: np.ndarray) -> None:

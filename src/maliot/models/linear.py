@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LinearConfig, check_width, sigmoid
-
-
-def _minibatches(n: int, n_batch: int, n_epoch: int, rng: np.random.Generator):
-    for _ in range(n_epoch):
-        order = rng.permutation(n)
-        for start in range(0, n, n_batch):
-            yield order[start : start + n_batch]
+from .base import LinearConfig, check_width, minibatches, sigmoid
 
 
 def _fit(X, y, config: LinearConfig, seed: int, hinge: bool) -> dict:
@@ -28,7 +21,7 @@ def _fit(X, y, config: LinearConfig, seed: int, hinge: bool) -> dict:
     t = 0
     y = y.astype(np.float64)
     y_signed = 2.0 * y - 1.0  # hinge loss wants -1/+1
-    for batch in _minibatches(n, config.n_batch, config.n_epoch, rng):
+    for batch in minibatches(n, config.n_batch, config.n_epoch, rng):
         Xb = X[batch]
         m = Xb.shape[0]
         f = Xb @ w + b

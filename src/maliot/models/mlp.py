@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import MlpConfig, check_width, sigmoid
+from .base import MlpConfig, check_width, minibatches, sigmoid
 
 
 def init_params(width: int, dense_units: int, rng: np.random.Generator) -> dict:
@@ -75,24 +75,21 @@ def fit(X: np.ndarray, y: np.ndarray, config: MlpConfig, seed: int) -> dict:
     params = init_params(width, config.dense_units, rng)
     keep = 1.0 - config.dropout_rate
     t = 0
-    for _ in range(config.n_epoch):
-        order = rng.permutation(n)
-        for start in range(0, n, config.n_batch):
-            batch = order[start : start + config.n_batch]
-            Xb, yb = X[batch], y[batch]
-            if config.dropout_rate > 0.0:
-                mask = (
-                    rng.random((Xb.shape[0], config.dense_units)) < keep
-                ) / keep
-            else:
-                mask = None
-            g = gradient(params, Xb, yb, config.clf_reg, mask=mask)
-            lr = config.learning_rate / (1.0 + config.decay_rate * t)
-            params["W1"] -= lr * g["W1"]
-            params["b1"] -= lr * g["b1"]
-            params["W2"] -= lr * g["W2"]
-            params["b2"] -= lr * g["b2"]
-            t += 1
+    for batch in minibatches(n, config.n_batch, config.n_epoch, rng):
+        Xb, yb = X[batch], y[batch]
+        if config.dropout_rate > 0.0:
+            mask = (
+                rng.random((Xb.shape[0], config.dense_units)) < keep
+            ) / keep
+        else:
+            mask = None
+        g = gradient(params, Xb, yb, config.clf_reg, mask=mask)
+        lr = config.learning_rate / (1.0 + config.decay_rate * t)
+        params["W1"] -= lr * g["W1"]
+        params["b1"] -= lr * g["b1"]
+        params["W2"] -= lr * g["W2"]
+        params["b2"] -= lr * g["b2"]
+        t += 1
     return params
 
 

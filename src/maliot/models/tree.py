@@ -169,21 +169,11 @@ def pack(trees: list[dict]) -> dict:
     those starts in tree order.
     """
     starts = np.cumsum([0] + [t["feature"].size for t in trees[:-1]])
-
-    def children(key: str) -> np.ndarray:
-        return np.concatenate([
-            np.where(t[key] == LEAF, LEAF, t[key] + s)
-            for t, s in zip(trees, starts)
-        ])
-
-    return {
-        "feature": np.concatenate([t["feature"] for t in trees]),
-        "threshold": np.concatenate([t["threshold"] for t in trees]),
-        "left": children("left"),
-        "right": children("right"),
-        "value": np.concatenate([t["value"] for t in trees]),
-        "roots": starts,
-    }
+    table = {key: np.concatenate([t[key] for t in trees]) for key in _ARRAYS}
+    for key in ("left", "right"):
+        table[key] = np.concatenate([np.where(t[key] == LEAF, LEAF, t[key] + s)
+                                     for t, s in zip(trees, starts)])
+    return {**table, "roots": starts}
 
 
 def unpack(table: dict) -> list[dict]:

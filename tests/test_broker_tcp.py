@@ -308,6 +308,19 @@ def test_a_held_fetch_short_of_rows_returns_them_at_its_deadline(served, transpo
     assert 0.29 <= elapsed < 1.0
 
 
+def test_a_held_poll_longer_than_the_socket_timeout_returns(served):
+    # the socket timeout bounds the broker's silence beyond the hold, not the hold
+    broker, server = served
+    broker.create_topic("t", 1)
+    with TcpClient(server.host, server.port, timeout_s=0.5) as client:
+        client.subscribe("g", "t")
+        t0 = time.perf_counter()
+        runs = client.poll("g", "t", 100, timeout_ms=1500.0, min_messages=10)
+        elapsed = time.perf_counter() - t0
+    assert runs == []
+    assert 1.45 <= elapsed < 1.9
+
+
 def test_server_keeps_only_live_connection_threads(served):
     broker, server = served
     broker.create_topic("t", 1)

@@ -264,6 +264,24 @@ def test_train_deid_alias(tmp_path, capsys):
     assert json.loads(out)["feature_set"] == "de_identified"
 
 
+def test_train_skips_unlabeled_rows(tmp_path, capsys):
+    # README: unlabeled rows are scored but never trained on
+    flows = tmp_path / "f.csv"
+    run(["--seed", "5", "gen", "--devices", "3", "--duration", "2",
+         "--out", str(flows)], capsys)
+    lines = flows.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split(",")
+    cells[16] = "-"
+    lines[1] = ",".join(cells)
+    flows.write_text("\n".join(lines), encoding="utf-8")
+    code, out, _ = run(["train", "--model", "decision_tree", "--data", str(flows),
+                        "--out", str(tmp_path / "m.json")], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["rows"] == len(lines) - 2  # less the header and the final ""
+    assert sum(doc["confusion"].values()) == (doc["rows"] - 1) - int(0.8 * (doc["rows"] - 1))
+
+
 def test_train_and_retrain_write_codec_before_model(tmp_path, capsys,
                                                    monkeypatch):
     # serve --watch-model reacts to the model file, so it must come last

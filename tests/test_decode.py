@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maliot import decode, sim
-from maliot.decode import BLOCK_ROWS, decode_batch
-from maliot.engine import Verdict, verdict_lines
+from maliot import decode, flows, sim
+from maliot.cli import main
+from maliot.decode import BLOCK_ROWS, decode_batch, decode_columns
+from maliot.engine import Verdict, retrain_from_persisted, verdict_lines
 from maliot.errors import ParseError
-from maliot.features import FEATURE_SETS, encode_batch, fit_codec
-from maliot.flows import format_row, parse_record
+from maliot.features import FEATURE_SETS, encode_batch, fit_codec, record_columns
+from maliot.flows import format_row, parse_record, write_records
 
 RECORDS = sim.generate(sim.SimConfig(n_devices=4, duration_s=2.0, seed=3))
 CLEAN = [format_row(r) for r in RECORDS]
@@ -88,6 +89,17 @@ def test_decode_equals_parse_then_encode(n, odd, feature_set):
     assert sorted(i for i, _ in errors) == sorted(set(range(n)) - set(rows))
     assert ts.tolist() == [r.ts for r in records]
     assert devices == [r.device_id for r in records]
+    # the codec-free stage against the records-to-columns helper
+    cols, col_rows, col_errors = decode_columns(values, feature_set)
+    assert col_rows == rows
+    assert [(i, exc.reason) for i, exc in col_errors] == [
+        (i, exc.reason) for i, exc in errors]
+    for got, want in zip(cols, record_columns(records, feature_set)):
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        else:
+            assert got == want
 
 
 def test_clean_rows_never_reach_parse_record(monkeypatch):
@@ -107,6 +119,29 @@ def test_clean_rows_never_reach_parse_record(monkeypatch):
     values[5000] = values[5000].rsplit(",", 1)[0] + ',"dev,0"'
     assert len(decode_batch(values, CODECS["full"])[1]) == 10_000
     assert len(calls) == 1
+
+
+def test_train_and_retrain_read_clean_files_without_parse_record(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return parse_record(*args)
+
+    monkeypatch.setattr(decode, "parse_record", counted)
+    monkeypatch.setattr(flows, "parse_record", counted)
+    persist = tmp_path / "persist"
+    persist.mkdir()
+    for i, part in enumerate((RECORDS[::2], RECORDS[1::2])):
+        write_records(part, persist / f"flows-{i}-2020091312.csv")
+    model, codec = retrain_from_persisted(str(persist), "gaussian_nb", "full")
+    assert codec.fingerprint() == fit_codec(RECORDS[::2] + RECORDS[1::2], "full").fingerprint()
+    assert main(["train", "--model", "decision_tree", "--data",
+                 str(persist / "flows-0-2020091312.csv"),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 class _Model:

@@ -506,6 +506,31 @@ def test_rows_are_persisted_as_received(tmp_path, small_corpus):
     assert kept == [r for i, r in enumerate(small_corpus[:60]) if i != 7]
 
 
+@pytest.mark.parametrize("torn", [30, -2], ids=["mid_row", "inside_device_id"])
+def test_a_torn_last_persisted_row_is_cut_before_the_next_append(
+        tmp_path, small_corpus, torn):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 1)
+    values = [format_row(r) for r in small_corpus[:7]]
+    model_path = _trained_model(small_corpus, tmp_path)
+    persist = tmp_path / "persist"
+    for first, batch in ((True, values[:4]), (False, values[4:])):
+        for v in batch:
+            broker.produce("flows", "k", v)
+        engine = _engine(broker, model_path, tmp_path, persist_dir=str(persist))
+        engine.run(idle_limit=2)
+        engine.close()
+        [name] = os.listdir(persist)
+        if first:
+            # a crash tore row 4 as it was written; its batch never committed
+            with open(persist / name, "a", encoding="utf-8") as fh:
+                fh.write(values[4][:torn])
+    broker.close()
+    kept, stats = read_dataset(persist / name, "maliot_csv")
+    assert stats.rows_rejected == 0
+    assert kept == small_corpus[:7]
+
+
 def _open_path(fd):
     try:
         return os.readlink(f"/proc/self/fd/{fd}")

@@ -17,9 +17,10 @@ import pytest
 
 from maliot import models, sim
 from maliot.broker import Broker, InProcClient
-from maliot.engine import EngineConfig, StreamEngine, retrain_from_persisted
+from maliot.cli import main
+from maliot.engine import EngineConfig, StreamEngine, codec_path_for, retrain_from_persisted
 from maliot.features import encode_batch, fit_codec
-from maliot.flows import format_row
+from maliot.flows import format_row, write_records
 from maliot.models import ForestConfig, LinearConfig, MlpConfig
 
 CORPUS = sim.SimConfig(n_devices=4, duration_s=3.0, seed=7)
@@ -39,6 +40,13 @@ VERDICTS_SHA = {
 }
 PERSISTED_SHA = "bac9824751c5366b386458d7cf079a340e25e645a92d85177ba3778421421d9d"
 RETRAINED_SHA = "182885f21f92a8f489964549febeae8158625051a4e1ca4b1248464adef299b4"
+# `maliot train` on the corpus file: (model checksum, codec file sha256)
+TRAINED_FILE_SHA = {
+    "decision_tree": ("7738032cf5bd0646d91017bbe3e7c322d5bcfd770e99cafe70e4dec2dc746c96",
+                      "425421545975352997539180abf738e8803ad9fdb8feb906ce6e1f435303ac44"),
+    "random_forest": ("9f584fbe1230045255949b7f70b9245c7b5dda5c1584d9f1a99fb524ce1f415a",
+                      "425421545975352997539180abf738e8803ad9fdb8feb906ce6e1f435303ac44"),
+}
 
 CONFIGS = {
     "random_forest": ForestConfig(n_trees=8, max_depth=8),
@@ -133,3 +141,15 @@ def test_persisted_rows_and_retrained_model_are_pinned(drained, tmp_path):
     model, _ = retrain_from_persisted(persist_dir, "random_forest", "full",
                                       config=CONFIGS["random_forest"])
     assert _checksum(model, tmp_path / "retrained.json") == RETRAINED_SHA
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINED_FILE_SHA))
+def test_train_command_outputs_are_pinned(corpus, tmp_path, capsys, kind):
+    data, out = tmp_path / "corpus.csv", tmp_path / f"{kind}.json"
+    write_records(corpus, data)
+    assert main(["train", "--model", kind, "--data", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        checksum = json.load(fh)["checksum"]
+    with open(codec_path_for(str(out)), "rb") as fh:
+        assert (checksum, _sha(fh.read())) == TRAINED_FILE_SHA[kind]
