@@ -1,10 +1,12 @@
 """Producer/consumer clients: one in-process, one speaking the TCP frames.
 
-Both expose the same calls (create_topic, produce, subscribe, poll, commit,
-leave) with the same error behavior, so everything downstream takes "a
-client" and never cares which transport is underneath.  Both keep their
-read positions here, in the client, and advance each past the end of the
-Run that ``poll`` returns for it (see core.py); the broker keeps none.
+Both expose the same calls (create_topic, produce, subscribe, poll, lag,
+commit, leave) with the same error behavior, so everything downstream
+takes "a client" and never cares which transport is underneath.  Both get
+a fetch as the broker's log bytes and split them into Runs here, with one
+function.  Both keep their read positions here, in the client, and advance
+each past the end of the run the fetch returned for it (see core.py); the
+broker keeps none.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import socket
 import time
 
 from ..errors import ERROR_REGISTRY, BrokerUnreachableError, MaliotError
-from .core import Broker, Run
+from .core import Broker, Fetched, Run
 from .protocol import (
     OP_ACK,
     OP_COMMIT,
@@ -24,42 +26,75 @@ from .protocol import (
     ProtocolError,
     encode_frame,
     read_frame,
+    unescape,
 )
+
+
+def split(fetched: Fetched) -> list[Run]:
+    """A fetch's log lines as one Run per partition that has rows.
+
+    Every line has three tabs and ends in a newline, and escaping keeps both
+    out of key and value, so one split yields four fields per row.
+    """
+    fields = fetched.data.decode("utf-8", "surrogatepass").replace("\n", "\t").split("\t")
+    if len(fields) != 4 * sum(run[2] for run in fetched.runs) + 1:
+        raise ProtocolError("POLL reply rows do not match its header")
+    if b"\\" in fetched.data:
+        fields = [unescape(f) for f in fields]
+    runs, i = [], 0
+    for partition, offset, n, _, _ in fetched.runs:
+        if n:
+            j = i + 4 * n
+            runs.append(Run(partition, offset, fields[i + 2:j:4], fields[i + 3:j:4]))
+            i = j
+    return runs
 
 
 class _PositionKeeper:
     """Read positions per (group, topic), partition -> next offset.
 
     ``subscribe`` clears them, so a new session resumes from the committed
-    offsets.  Partitions a fetch no longer assigns are dropped: a member
-    keeps its position in the partitions it still owns, and a partition
-    that changes owner starts from its committed offset.  A failed fetch
-    moves nothing, so a retry returns the same rows.
+    offsets.  A fetch returns a run, maybe empty, for each partition it
+    assigns, so each assigned partition gets a position, and partitions no
+    longer assigned are dropped: a member keeps its position in the
+    partitions it still owns, and a partition that changes owner starts
+    from its committed offset.  A failed fetch moves nothing, so a retry
+    returns the same rows.
     """
 
     def __init__(self, consumer_id: str):
         self.consumer_id = consumer_id
         self._positions: dict[tuple[str, str], dict[int, int]] = {}
+        self._lag: dict[tuple[str, str], dict[int, int]] = {}
 
     def subscribe(self, group: str, topic: str) -> None:
         self._membership("subscribe", group, topic)
         self._positions.pop((group, topic), None)
+        self._lag.pop((group, topic), None)
 
     def leave(self, group: str, topic: str) -> None:
         self._positions.pop((group, topic), None)
+        self._lag.pop((group, topic), None)
         self._membership("leave", group, topic)
+
+    def lag(self, group: str, topic: str) -> dict[int, int]:
+        """Per assigned partition, the rows past this session's position at
+        the last poll: its high-water mark less the position."""
+        return dict(self._lag.get((group, topic), {}))
 
     def poll(self, group: str, topic: str, max_messages: int = 100,
              timeout_ms: float = 0.0, min_messages: int = 1,
              commit: dict[int, int] | None = None) -> list[Run]:
         """``Broker.fetch`` from the kept positions, then advance them."""
         pos = self._positions.setdefault((group, topic), {})
-        runs, assigned = self._fetch(group, topic, pos, max_messages, timeout_ms,
-                                     min_messages, commit or {})
-        for p in set(pos).difference(assigned):
+        fetched = self._fetch(group, topic, pos, max_messages, timeout_ms,
+                              min_messages, commit or {})
+        runs = split(fetched)
+        ends = {p: offset + n for p, offset, n, _, _ in fetched.runs}
+        for p in set(pos).difference(ends):
             del pos[p]
-        for run in runs:
-            pos[run.partition] = run.offset + len(run.values)
+        pos.update(ends)
+        self._lag[group, topic] = {p: hw - ends[p] for p, _, _, _, hw in fetched.runs}
         if pos:  # rotate, so the next capped fetch starts elsewhere
             first = next(iter(pos))
             pos[first] = pos.pop(first)
@@ -139,25 +174,30 @@ class TcpClient(_PositionKeeper):
             f"{self.host}:{self.port} after {self.connect_retries} attempts: {last}"
         )
 
-    def _call(self, opcode: int, body: dict) -> dict:
+    def _call(self, opcode: int, body: dict) -> tuple[dict, bytes]:
+        """One request and its ACK: the reply's body and tail."""
+        frame = encode_frame(opcode, body)
         sock = self._connect()
         # a held POLL is answered up to its timeout_ms late
         timeout = self.timeout_s + body.get("timeout_ms", 0) / 1000.0
         if sock.gettimeout() != timeout:
             sock.settimeout(timeout)
         try:
-            sock.sendall(encode_frame(opcode, body))
-            op, reply = read_frame(sock)
+            sock.sendall(frame)
+            op, reply, tail = read_frame(sock)
         except (ConnectionError, OSError) as exc:
             self._drop()
             raise BrokerUnreachableError(f"{self.host}:{self.port}: {exc}") from None
+        except ProtocolError:
+            self._drop()  # what is left of a bad frame would read as the next reply
+            raise
         if op == OP_ERR:
             cls = ERROR_REGISTRY.get(reply.get("error", ""), MaliotError)
             raise cls(reply.get("message", ""))
         if op != OP_ACK:
             self._drop()
             raise ProtocolError(f"unexpected reply opcode {op}")
-        return reply
+        return reply, tail
 
     def _drop(self) -> None:
         if self._sock is not None:
@@ -171,7 +211,7 @@ class TcpClient(_PositionKeeper):
         self._call(OP_CREATE, {"topic": topic, "partitions": partitions})
 
     def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
-        r = self._call(OP_PRODUCE, {"topic": topic, "key": key, "value": value})
+        r, _ = self._call(OP_PRODUCE, {"topic": topic, "key": key, "value": value})
         return int(r["partition"]), int(r["offset"])
 
     def _membership(self, op: str, group: str, topic: str) -> None:
@@ -180,13 +220,13 @@ class TcpClient(_PositionKeeper):
 
     def _fetch(self, group, topic, positions, max_messages, timeout_ms,
                min_messages, commit):
-        r = self._call(OP_POLL, {
+        r, data = self._call(OP_POLL, {
             "group": group, "topic": topic, "consumer": self.consumer_id,
             "positions": positions, "max_messages": max_messages,
             "timeout_ms": timeout_ms, "min_messages": min_messages,
             "commit": commit,
         })
-        return [Run(*run) for run in r["runs"]], r["assigned"]
+        return Fetched(r["runs"], data)
 
     def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
         self._call(OP_COMMIT, {

@@ -5,18 +5,23 @@ partition crc32(key) mod N, getting the next contiguous offset; consumer
 groups own a committed offset per partition, and anything at or past the
 committed mark is redelivered after a restart.  The broker keeps no read
 position: each fetch names the offset every partition starts from, and
-returns one Run per partition read, with no object per row; the client
-keeps the positions (see client.py).  A fetch may carry a commit, and be
+returns per partition the byte range of its log that holds the rows read,
+as the bytes themselves; the client keeps the positions and splits the
+bytes into Runs (see client.py).  The broker holds no Python object per
+row, only where each log line starts.  A fetch may carry a commit, and be
 held until enough rows arrive, so one request serves one consumer batch.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
 import threading
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +29,7 @@ from ..errors import (
     BackpressureTimeoutError,
     BadConfigError,
     BadPartitionCountError,
+    LogFormatError,
     MessageTooLargeError,
     OffsetOutOfRangeError,
     TopicExistsError,
@@ -35,6 +41,7 @@ from . import protocol
 _TOPIC_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 
 FSYNC_POLICIES = ("every_message", "interval")
+_BLOCK = 1 << 20  # recovery reads a log this many bytes at a time
 
 
 class Run(NamedTuple):
@@ -43,6 +50,18 @@ class Run(NamedTuple):
     offset: int
     keys: list[str]
     values: list[str]
+
+
+class Fetched(NamedTuple):
+    """A fetch as the POLL reply carries it.
+
+    ``runs`` holds ``[partition, offset, rows, nbytes, hw]`` for every
+    assigned partition, in the order read, ``rows`` possibly 0 and ``hw``
+    the partition's high-water mark; ``data`` is those runs' log lines,
+    ``nbytes`` of them per run, one run after another.
+    """
+    runs: list[list[int]]
+    data: bytes
 
 
 @dataclass(frozen=True)
@@ -70,70 +89,100 @@ def _atomic_write_json(path: str, doc) -> None:
 
 
 class _Partition:
-    """One append-only log: keys and values in memory (offset = index) plus its file."""
+    """One append-only log file and where each of its lines starts.
+
+    Line i holds offset i, as ``protocol`` lays it out.  No row is kept in
+    memory: a fetch reads its lines back from the file with ``os.pread``.
+    """
 
     def __init__(self, path: str):
         self.path = path
-        self.keys: list[str] = []
-        self.values: list[str] = []
-        self._fh = None
+        self._starts = array("q")  # line i's first byte in the file
+        self._size = 0  # bytes of whole lines; the file's length
         self._last_sync = 0.0
-        self._recover()
+        self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            self._recover()
+        except BaseException:
+            os.close(self._fd)
+            raise
 
     def _recover(self) -> None:
-        if os.path.exists(self.path):
-            good_end = 0
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break  # torn final write
-                    try:
-                        doc = json.loads(line)
-                        if doc["offset"] != len(self.values):
-                            break
-                        key, value = doc["key"], doc["value"]
-                    except (ValueError, KeyError, TypeError):
-                        break
-                    self.keys.append(key)
-                    self.values.append(value)
-                    good_end += len(line)
-            size = os.path.getsize(self.path)
-            if good_end != size:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(good_end)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        """Index the file a block at a time, and cut it after the last whole
+        line that holds its own offset: a torn final write goes."""
+        starts, base, size = self._starts, 0, _BLOCK
+        while True:
+            block = os.pread(self._fd, size, base)
+            if base == 0 and block.startswith(b"{"):
+                raise LogFormatError(
+                    f"{self.path} is a JSON-lines log from an older maliot; "
+                    "this broker reads only tab-separated logs")
+            start = 0
+            while ((end := block.find(b"\n", start)) >= 0
+                   and block.startswith(b"%d\t" % len(starts), start)
+                   and block.count(b"\t", start, end) == 3):
+                starts.append(base + start)
+                start = end + 1
+            base += start
+            if end >= 0 or len(block) < size:
+                break  # a line not holding its offset, or the file's end
+            del block  # before the next read, so one block is held at a time
+            size = _BLOCK if start else 2 * size  # a line longer than the read
+        self._size = base
+        if os.fstat(self._fd).st_size != base:
+            os.ftruncate(self._fd, base)
 
-    def append(self, key: str, value: str, fsync_now: bool) -> int:
-        offset = len(self.values)
-        line = json.dumps(
-            {"offset": offset, "key": key, "value": value},
-            separators=(",", ":"),
-        )
-        self._fh.write(line + "\n")
-        self._fh.flush()
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def _at(self, offset: int) -> int:
+        """Where the line of ``offset`` starts; the file's end past the last."""
+        return self._starts[offset] if offset < len(self._starts) else self._size
+
+    def line(self, key: str, value: str) -> bytes:
+        """The line that would hold (key, value) at the next offset."""
+        return b"%d\t%.6f\t%s\t%s\n" % (len(self._starts), time.time(),
+                                        protocol.escape(key), protocol.escape(value))
+
+    def append(self, line: bytes, fsync_now: bool) -> int:
+        offset = len(self._starts)
+        if os.write(self._fd, line) != len(line):
+            os.ftruncate(self._fd, self._size)  # leave no torn line to append to
+            raise OSError(errno.EIO, f"short write to {self.path}")
+        self._starts.append(self._size)
+        self._size += len(line)
         if fsync_now:
-            os.fsync(self._fh.fileno())
-            self._last_sync = time.monotonic()
-        self.keys.append(key)
-        self.values.append(value)
+            self.sync()
         return offset
 
+    def fit(self, start: int, end: int, room: int) -> int:
+        """The last e <= end whose lines from ``start`` take at most ``room`` bytes."""
+        limit = self._at(start) + max(room, 0)
+        if self._at(end) <= limit:
+            return end
+        return bisect_right(self._starts, limit, start, end) - 1
+
+    def nbytes(self, start: int, end: int) -> int:
+        return self._at(end) - self._at(start)
+
+    def read(self, start: int, end: int) -> bytes:
+        if start == end:
+            return b""
+        return os.pread(self._fd, self.nbytes(start, end), self._at(start))
+
     def maybe_sync(self, interval_s: float) -> None:
-        now = time.monotonic()
-        if now - self._last_sync >= interval_s:
-            os.fsync(self._fh.fileno())
-            self._last_sync = now
+        if time.monotonic() - self._last_sync >= interval_s:
+            self.sync()
 
     def sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        os.fsync(self._fd)
         self._last_sync = time.monotonic()
 
     def close(self) -> None:
-        if self._fh is not None:
+        if self._fd is not None:
             self.sync()
-            self._fh.close()
-            self._fh = None
+            os.close(self._fd)
+            self._fd = None
 
 
 class Broker:
@@ -160,7 +209,11 @@ class Broker:
         os.makedirs(config.data_dir, exist_ok=True)
         self._topics_path = os.path.join(config.data_dir, "topics.json")
         self._offsets_path = os.path.join(config.data_dir, "offsets.json")
-        self._load()
+        try:
+            self._load()
+        except BaseException:
+            self.close()  # the partitions opened so far
+            raise
 
     # -- persistence ------------------------------------------------------
 
@@ -168,9 +221,9 @@ class Broker:
         if os.path.exists(self._topics_path):
             with open(self._topics_path, encoding="utf-8") as fh:
                 for name, count in json.load(fh).items():
-                    self._topics[name] = [
-                        _Partition(self._log_path(name, p)) for p in range(count)
-                    ]
+                    parts = self._topics[name] = []
+                    for p in range(count):
+                        parts.append(_Partition(self._log_path(name, p)))
         if os.path.exists(self._offsets_path):
             # Commits are always fsynced but appends may not be, so after an
             # OS crash a commit can name an offset past the recovered log;
@@ -178,7 +231,7 @@ class Broker:
             with open(self._offsets_path, encoding="utf-8") as fh:
                 for gid, topics in json.load(fh).items():
                     self._committed[gid] = {
-                        t: {int(p): min(o, len(self._topics[t][int(p)].values))
+                        t: {int(p): min(o, len(self._topics[t][int(p)]))
                             for p, o in offs.items()}
                         for t, offs in topics.items()
                     }
@@ -217,7 +270,7 @@ class Broker:
 
     def partition_length(self, topic: str, partition: int) -> int:
         with self._lock:
-            return len(self._parts(topic)[partition].values)
+            return len(self._parts(topic)[partition])
 
     # -- produce ----------------------------------------------------------
 
@@ -227,7 +280,7 @@ class Broker:
         Only groups that subscribed to or committed on ``topic`` count; with
         none, the whole partition is in flight.
         """
-        length = len(self._topics[topic][partition].values)
+        length = len(self._topics[topic][partition])
         groups = {g for g, t in self._members if t == topic}
         groups.update(g for g, topics in self._committed.items() if topic in topics)
         floor = min((self._committed.get(g, {}).get(topic, {}).get(partition, 0)
@@ -250,15 +303,16 @@ class Broker:
                 self._space_freed.wait(remaining)
                 self._parts(topic)  # re-raise if topic vanished
             part = parts[partition]
-            if not protocol.fits_a_poll_reply(key, value, len(parts)):
+            line = part.line(key, value)
+            if len(line) > protocol.poll_reply_room(len(parts)):
                 # it could never be fetched over TCP, and would wedge the partition
                 raise MessageTooLargeError(f"{topic}[{partition}] message of "
-                                           f"{len(value)} chars fits no POLL reply")
-            offset = part.append(key, value, self.config.fsync == "every_message")
+                                           f"{len(line)} bytes fits no POLL reply")
+            offset = part.append(line, self.config.fsync == "every_message")
             if self.config.fsync == "interval":
                 part.maybe_sync(self.config.fsync_interval_ms / 1000.0)
             marks = self._marks.get(topic)
-            if marks and min(marks) <= sum(len(q.values) for q in parts):
+            if marks and min(marks) <= sum(map(len, parts)):
                 self._data_arrived.notify_all()
             return partition, offset
 
@@ -289,8 +343,7 @@ class Broker:
     def fetch(self, group_id: str, topic: str, positions: dict[int, int],
               max_messages: int = 100, timeout_ms: float = 0.0,
               consumer_id: str = "_default", min_messages: int = 1,
-              commit: dict[int, int] | None = None
-              ) -> tuple[list[Run], list[int]]:
+              commit: dict[int, int] | None = None) -> Fetched:
         """Read up to max_messages rows from this consumer's partitions.
 
         ``commit``, when given, is applied first, as ``commit()`` applies it.
@@ -298,11 +351,12 @@ class Broker:
         group's committed offset when the caller names none.  Unnamed
         partitions are read first, then named ones in the caller's order,
         so a client that rotates its positions gets fair turns under the
-        cap.  Held until it has min_messages rows, or until timeout_ms
-        with whatever it has (an empty list is normal); only a produce
-        that can fill it, or ``release_fetches``, wakes it.  Returns a Run
-        per partition read, in that order, and the partitions now assigned
-        to this consumer.  Keeps no state.
+        cap.  The rows also stop where the next would take the reply past
+        ``protocol.poll_reply_room``; the first row always goes.  Held
+        until it has min_messages rows or its reply is full, or until
+        timeout_ms with whatever it has (no rows is normal); only a
+        produce that can fill it, or ``release_fetches``, wakes it.  Keeps
+        no state.
         """
         deadline = time.monotonic() + timeout_ms / 1000.0
         wanted = min(min_messages, max_messages)
@@ -316,24 +370,35 @@ class Broker:
                 committed = self._committed.get(group_id, {}).get(topic, {})
                 order = [p for p in assigned if p not in positions]
                 order += [p for p in positions if p in assigned]
-                runs, room = [], max_messages
+                spans, got, full = [], 0, False
+                room = protocol.poll_reply_room(len(parts))
                 for p in order:
-                    keys, values = parts[p].keys, parts[p].values
+                    part = parts[p]
                     start = positions.get(p, committed.get(p, 0))
-                    if not 0 <= start <= len(values):
+                    if not 0 <= start <= len(part):
                         raise OffsetOutOfRangeError(
-                            f"{topic}[{p}] position {start} > high water {len(values)}"
+                            f"{topic}[{p}] position {start} > high water {len(part)}"
                         )
-                    end = min(len(values), start + room)
-                    if end > start:
-                        runs.append(Run(p, start, keys[start:end], values[start:end]))
-                        room -= end - start
+                    end = min(len(part), start + max_messages - got)
+                    stop = part.fit(start, end, room)
+                    if stop < end:
+                        full = True
+                        if not got:  # one too big for the frame then gets an ERR
+                            stop = max(stop, start + 1)
+                    spans.append((p, part, start, stop))
+                    got += stop - start
+                    # a full reply takes no row from a later partition either
+                    room = 0 if full else room - part.nbytes(start, stop)
                 remaining = deadline - time.monotonic()
-                got = max_messages - room
-                if got >= wanted or remaining <= 0 or released != self._released:
-                    return runs, assigned
+                if got >= wanted or full or remaining <= 0 or released != self._released:
+                    if self._closed:  # its files are shut; the rows wait for a restart
+                        spans = [(p, part, start, start) for p, part, start, _ in spans]
+                    return Fetched(
+                        [[p, start, stop - start, part.nbytes(start, stop), len(part)]
+                         for p, part, start, stop in spans],
+                        b"".join(part.read(start, stop) for _, part, start, stop in spans))
                 # any row of the topic may be one of ours: wake at the total
-                mark = sum(len(q.values) for q in parts) + wanted - got
+                mark = sum(map(len, parts)) + wanted - got
                 self._marks.setdefault(topic, []).append(mark)
                 self._data_arrived.wait(remaining)
                 self._marks[topic].remove(mark)
@@ -351,9 +416,9 @@ class Broker:
             for p, off in offsets.items():
                 if not 0 <= p < len(parts):
                     raise OffsetOutOfRangeError(f"partition {p}")
-                if not 0 <= off <= len(parts[p].values):
+                if not 0 <= off <= len(parts[p]):
                     raise OffsetOutOfRangeError(
-                        f"{topic}[{p}] offset {off} > high water {len(parts[p].values)}"
+                        f"{topic}[{p}] offset {off} > high water {len(parts[p])}"
                     )
             topic_offsets = self._committed.setdefault(group_id, {}).setdefault(topic, {})
             for p, off in offsets.items():

@@ -1,14 +1,25 @@
-"""Length-prefixed wire format shared by the TCP server and client.
+"""Length-prefixed wire format shared by the TCP server and client, and the
+log line both the partition files and POLL replies carry.
 
 One frame is: 4-byte big-endian length, then that many bytes, of which the
-first is the opcode and the rest are a UTF-8 JSON body.  The length field
-therefore counts opcode + body, never itself.
+first is the opcode and the rest are a UTF-8 JSON body, optionally followed
+by a newline and a byte tail.  The length field therefore counts opcode +
+body + tail, never itself.  Compact JSON never holds a raw newline byte, so
+the first one ends the body.
+
+A POLL reply's tail is the log lines of the rows it returns, copied from
+the partition files: ``offset\\tappend_ts\\tkey\\tvalue\\n``, with ``\\``,
+tab, newline and carriage return in key and value escaped as ``\\\\``,
+``\\t``, ``\\n`` and ``\\r`` (PostgreSQL's COPY text format), and UTF-8
+encoded with ``surrogatepass``, so any Python string round-trips.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
+from functools import lru_cache
 
 from ..errors import ProtocolError
 
@@ -24,16 +35,32 @@ OPCODES = (OP_CREATE, OP_PRODUCE, OP_POLL, OP_COMMIT, OP_ACK, OP_ERR)
 MAX_FRAME = 16 * 1024 * 1024
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # built once, not per frame
 
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {v[1]: k for k, v in _ESCAPES.items()}
+_TO_ESCAPE = re.compile(r"[\\\t\n\r]")
+_ESCAPED = re.compile(r"\\(.)", re.S)
+
+
+def escape(text: str) -> bytes:
+    """One key or value as it sits in a log line."""
+    return _TO_ESCAPE.sub(lambda m: _ESCAPES[m[0]], text).encode("utf-8", "surrogatepass")
+
+
+def unescape(field: str) -> str:
+    return _ESCAPED.sub(lambda m: _UNESCAPES[m[1]], field)
+
 
 def _json(doc) -> bytes:
     return _ENCODER.encode(doc).encode("utf-8")
 
 
-def _frame(opcode: int, body: bytes) -> bytes:
-    length = 1 + len(body)
+def _frame(opcode: int, body: bytes, tail: bytes = b"") -> bytes:
+    if tail:
+        body += b"\n"
+    length = 1 + len(body) + len(tail)
     if length > MAX_FRAME:
         raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-    return struct.pack(">IB", length, opcode) + body
+    return b"".join((struct.pack(">IB", length, opcode), body, tail))
 
 
 def encode_frame(opcode: int, body: dict) -> bytes:
@@ -42,42 +69,26 @@ def encode_frame(opcode: int, body: dict) -> bytes:
     return _frame(opcode, _json(body))
 
 
-def encode_ack(body: dict) -> bytes:
-    """ACK frame; a POLL reply's ``runs`` are cut to their first half of
-    rows until it fits.
+def encode_ack(body: dict, tail: bytes = b"") -> bytes:
+    """ACK frame; a POLL reply's log lines go in ``tail``.  The broker has
+    already sized them to fit (``poll_reply_room``), so only a single row
+    produced under a larger cap raises ProtocolError here."""
+    return _frame(OP_ACK, _json(body), tail)
 
-    The client advances only past what it receives, so the rest comes with
-    its next fetch.  A first row that fits no frame raises ProtocolError.
+
+@lru_cache(maxsize=None)
+def _largest_poll_head(partitions: int) -> int:
+    return len(_json({"runs": [[2**63 - 1] * 5] * partitions}))
+
+
+def poll_reply_room(partitions: int) -> int:
+    """Bytes of log lines a POLL reply on a topic of ``partitions`` can carry.
+
+    That is MAX_FRAME less the opcode, the newline and the largest header:
+    a ``[partition, offset, rows, nbytes, hw]`` run for every partition,
+    each number at 2**63 - 1, which no log reaches.
     """
-    while True:
-        data = _json(body)
-        runs = body.get("runs", ())
-        n = sum(len(run[3]) for run in runs)
-        if 1 + len(data) <= MAX_FRAME or n <= 1:
-            return _frame(OP_ACK, data)
-        n, cut = n // 2, []
-        for partition, offset, keys, values in runs:
-            if n > 0:
-                cut.append([partition, offset, keys[:n], values[:n]])
-            n -= len(values)
-        body = {**body, "runs": cut}
-
-
-def fits_a_poll_reply(key: str, value: str, partitions: int) -> bool:
-    """Whether a POLL reply carrying only this row fits MAX_FRAME.
-
-    The reply is sized for a consumer that owns all ``partitions``, the
-    row sitting in the last one at offset 2**63 - 1, which no log reaches,
-    so it holds wherever the row lands.  JSON escapes a char to at most
-    12 bytes (a non-BMP one as two \\uXXXX), and the rest takes under 128
-    bytes plus 64 per partition, so only a row near the cap pays for an
-    exact encode.
-    """
-    if 12 * (len(key) + len(value)) + 128 + 64 * partitions <= MAX_FRAME:
-        return True
-    body = {"runs": [[partitions - 1, 2**63 - 1, [key], [value]]],
-            "assigned": list(range(partitions))}
-    return 1 + len(_json(body)) <= MAX_FRAME
+    return MAX_FRAME - 2 - _largest_poll_head(partitions)
 
 
 def _read_exact(sock, n: int) -> bytes:
@@ -91,8 +102,9 @@ def _read_exact(sock, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock) -> tuple[int, dict]:
-    """Read one frame from a connected socket; blocks until complete."""
+def read_frame(sock) -> tuple[int, dict, bytes]:
+    """Read one frame from a connected socket; blocks until complete.
+    Returns the opcode, the JSON body and the tail (empty if none)."""
     (length,) = struct.unpack(">I", _read_exact(sock, 4))
     if length < 1 or length > MAX_FRAME:
         raise ProtocolError(f"frame length {length} out of range")
@@ -100,10 +112,12 @@ def read_frame(sock) -> tuple[int, dict]:
     opcode = payload[0]
     if opcode not in OPCODES:
         raise ProtocolError(f"bad opcode {opcode}")
+    nl = payload.find(b"\n", 1)
+    head, tail = (payload[1:], b"") if nl < 0 else (payload[1:nl], payload[nl + 1:])
     try:
-        body = json.loads(payload[1:].decode("utf-8"))
+        body = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"bad body: {exc}") from None
     if not isinstance(body, dict):
         raise ProtocolError("body must be a JSON object")
-    return opcode, body
+    return opcode, body, tail

@@ -66,14 +66,14 @@ class BrokerServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._stop.is_set():
                 try:
-                    opcode, body = read_frame(conn)
+                    opcode, body, _ = read_frame(conn)
                 except ConnectionError:
                     return
                 except ProtocolError as exc:
                     self._send_err(conn, exc)
                     return
                 try:
-                    frame = encode_ack(self._dispatch(opcode, body))
+                    frame = encode_ack(*self._dispatch(opcode, body))
                 except MaliotError as exc:
                     self._send_err(conn, exc)
                     continue
@@ -97,33 +97,34 @@ class BrokerServer:
         except OSError:
             pass
 
-    def _dispatch(self, opcode: int, body: dict) -> dict:
+    def _dispatch(self, opcode: int, body: dict) -> tuple[dict, bytes]:
+        """The ACK's body and tail for one request."""
         if opcode == OP_CREATE:
             self.broker.create_topic(body["topic"], int(body["partitions"]))
-            return {"topic": body["topic"], "partitions": int(body["partitions"])}
+            return {"topic": body["topic"], "partitions": int(body["partitions"])}, b""
         if opcode == OP_PRODUCE:
             partition, offset = self.broker.produce(
                 body["topic"], str(body["key"]), str(body["value"])
             )
-            return {"partition": partition, "offset": offset}
+            return {"partition": partition, "offset": offset}, b""
         if opcode == OP_POLL:
             group, topic = body["group"], body["topic"]
             consumer = str(body.get("consumer", "_default"))
             for op in ("subscribe", "leave"):
                 if body.get(op):
                     getattr(self.broker, op)(group, topic, consumer)
-                    return {}
+                    return {}, b""
             positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
             commit = {int(p): int(o) for p, o in body.get("commit", {}).items()}
-            runs, assigned = self.broker.fetch(
+            fetched = self.broker.fetch(
                 group, topic, positions, int(body.get("max_messages", 100)),
                 float(body.get("timeout_ms", 0.0)), consumer,
                 int(body.get("min_messages", 1)), commit)
-            return {"runs": runs, "assigned": assigned}
+            return {"runs": fetched.runs}, fetched.data
         if opcode == OP_COMMIT:
             offsets = {int(p): int(o) for p, o in body["offsets"].items()}
             self.broker.commit(body["group"], body["topic"], offsets)
-            return {}
+            return {}, b""
         raise ProtocolError(f"unexpected opcode {opcode}")
 
     def close(self) -> None:

@@ -16,22 +16,17 @@ import signal
 import sys
 import threading
 
-from . import bench as bench_mod
-from . import models, sim
-from .broker import Broker, BrokerConfig, BrokerServer, TcpClient
+# Only what the parser and `broker` need is imported here; each handler
+# imports the inference modules it runs, so `maliot broker` loads no numpy.
 from .broker.protocol import ProtocolError
-from .decode import read_labeled
-from .engine import EngineConfig, StreamEngine, codec_path_for, retrain_from_persisted
 from .errors import (
     BadConfigError,
     BrokerUnreachableError,
     MaliotError,
     ModelLoadError,
+    TopicExistsError,
 )
-from .features import encode_columns, fit_raw
-from .flows import (MALIOT_CSV_HEADER, format_row, read_dataset, sniff_dialect,
-                    write_records)
-from .models import LinearConfig, MlpConfig
+from .kinds import MODEL_KINDS
 
 log = logging.getLogger("maliot")
 
@@ -152,10 +147,9 @@ def _feature_sets(text: str) -> list[str]:
 
 def _model_kinds(text: str) -> list[str]:
     kinds = [k.strip() for k in text.split(",")]
-    if not set(kinds) <= set(models.MODEL_KINDS):
+    if not set(kinds) <= set(MODEL_KINDS):
         raise argparse.ArgumentTypeError(
-            f"unknown model kind in {text!r}, "
-            f"want {', '.join(models.MODEL_KINDS)}")
+            f"unknown model kind in {text!r}, want {', '.join(MODEL_KINDS)}")
     return kinds
 
 
@@ -166,6 +160,7 @@ def _topic_spec(text: str) -> tuple[str, int]:
 
 def _sim_config(args: argparse.Namespace, n_devices: int,
                 duration_s: float) -> sim.SimConfig:
+    from . import sim
     return sim.SimConfig(
         n_devices=n_devices, duration_s=duration_s, seed=args.seed,
         anomaly_device_fraction=args.fraction, rate_flows_per_s=args.rate,
@@ -183,6 +178,9 @@ def _split_addr(key: str, addr: str) -> tuple[str, int]:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import sim
+    from .broker import TcpClient
+    from .flows import MALIOT_CSV_HEADER, format_row, write_records
     out, to_broker = args.out, args.to_broker
     if not out and not to_broker:
         raise BadConfigError("one of --out or --to-broker is required")
@@ -205,6 +203,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _model_config_for(kind: str, epochs: int | None):
+    from .models import LinearConfig, MlpConfig
     if epochs is None:
         return None
     if kind == "ann":
@@ -215,6 +214,12 @@ def _model_config_for(kind: str, epochs: int | None):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod
+    from . import models
+    from .decode import read_labeled
+    from .engine import codec_path_for
+    from .features import encode_columns, fit_raw
+    from .flows import sniff_dialect
     kind, out = args.model, args.out
     if not out:
         raise BadConfigError("--out is required")
@@ -265,6 +270,7 @@ def _stop_on_signals():
 
 
 def cmd_broker(args: argparse.Namespace) -> int:
+    from .broker import Broker, BrokerConfig, BrokerServer
     if not args.data_dir:
         raise BadConfigError("--data-dir is required")
     if not 0 <= args.port <= 65535:
@@ -288,7 +294,6 @@ def cmd_broker(args: argparse.Namespace) -> int:
 
 
 def _ensure_topic(client, topic: str, partitions: int) -> None:
-    from .errors import TopicExistsError
     try:
         client.create_topic(topic, partitions)
     except TopicExistsError:
@@ -296,6 +301,9 @@ def _ensure_topic(client, topic: str, partitions: int) -> None:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    from . import sim
+    from .broker import TcpClient
+    from .flows import read_dataset, sniff_dialect
     host, port = _split_addr("broker", args.broker)
     records, stats = read_dataset(args.data, args.dialect or sniff_dialect(args.data))
     with TcpClient(host, port) as client:
@@ -306,6 +314,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .broker import TcpClient
+    from .engine import EngineConfig, StreamEngine
     host, port = _split_addr("broker", args.broker)
     if not args.model:
         raise BadConfigError("--model is required")
@@ -340,6 +350,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod
+    from . import models, sim
+    from .engine import codec_path_for
     experiment, seed, kinds = args.experiment, args.seed, args.kinds
     default_sweep, default_duration = _BENCH_CORPUS[experiment]
     sweep = default_sweep if args.devices is None else args.devices
@@ -378,6 +391,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_retrain(args: argparse.Namespace) -> int:
+    from . import models
+    from .engine import codec_path_for, retrain_from_persisted
     kind, out = args.model, args.out
     if not args.persist_dir or not out:
         raise BadConfigError("--persist-dir and --out are required")
@@ -435,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="partitions of a new topic (default: %(default)s)")
     features.add_argument("--features", type=_feature_set, default="full",
                           help="feature regime, full or deid (default: %(default)s)")
-    fit.add_argument("--model", required=True, choices=models.MODEL_KINDS,
+    fit.add_argument("--model", required=True, choices=MODEL_KINDS,
                      help="classifier kind")
     fit.add_argument("--epochs", type=int, default=None,
                      help="epoch override for ann and the linear models")
@@ -528,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="bench_out",
                    help="report directory (default: %(default)s)")
     p.add_argument("--kinds", type=_model_kinds,
-                   default=", ".join(models.MODEL_KINDS),
+                   default=", ".join(MODEL_KINDS),
                    help="comma list of model kinds; scalability runs the first "
                         "(default: %(default)s)")
     p.add_argument("--features", type=_feature_sets, default="full,deid",

@@ -1,10 +1,12 @@
 """Micro-batch inference engine: poll, featurize, score, emit, persist, commit.
 
 A batch is one held poll: the broker returns it once the row cap is met
-or the interval ends.  The commit is always last, after verdicts are out
-and raw rows are flushed to disk, and it rides the next batch's poll (or
-``close``), so a crash anywhere before that replays the batch rather than
-losing it.  Verdicts carry (partition, offset), taken from the polled Run,
+or the interval ends.  After a reply that left rows behind (the client's
+``lag``), the next poll is not held, so a backlog's last, partial batch
+does not wait out the interval.  The commit is always last, after
+verdicts are out and raw rows are flushed to disk, and it rides the next
+batch's poll (or ``close``), so a crash anywhere before that replays the
+batch rather than losing it.  Verdicts carry (partition, offset), taken from the polled Run,
 so downstream consumers can deduplicate those replays; a partition commits
 its last Run's end.  ``StreamEngine.run`` is the one cycle loop; it also
 watches the model file for hot swaps when asked.
@@ -316,9 +318,11 @@ class StreamEngine:
         """One micro-batch; returns the number of rows consumed."""
         self._apply_pending()
         model, codec, cfg = self.model, self.codec, self.config
+        # a backlog fills the batch at once; only a live stream waits for it
+        backlog = any(self.client.lag(cfg.group, cfg.topic).values())
         runs = self.client.poll(cfg.group, cfg.topic, cfg.max_batch_rows,
-                                cfg.batch_interval_ms, min_messages=cfg.max_batch_rows,
-                                commit=self._ends)
+                                0.0 if backlog else cfg.batch_interval_ms,
+                                min_messages=cfg.max_batch_rows, commit=self._ends)
         self._ends = {}
         if not runs:
             return 0

@@ -102,6 +102,10 @@ class MessageTooLargeError(BrokerError):
     """Produce refused: the message alone would not fit in a POLL reply."""
 
 
+class LogFormatError(BrokerError):
+    """A partition log is in a layout this broker does not read."""
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

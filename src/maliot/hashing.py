@@ -11,8 +11,9 @@ from functools import lru_cache
 
 
 def stable_hash32(s: str) -> int:
-    """CRC-32 of the UTF-8 bytes, as an unsigned 32-bit int."""
-    return zlib.crc32(s.encode("utf-8")) & 0xFFFFFFFF
+    """CRC-32 of the UTF-8 bytes (a lone surrogate passes), as an unsigned
+    32-bit int."""
+    return zlib.crc32(s.encode("utf-8", "surrogatepass")) & 0xFFFFFFFF
 
 
 def hash_to_unit(s: str) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from ..kinds import MODEL_KINDS
 from . import forest, linear, mlp, naive_bayes, tree
 from .base import ForestConfig, GnbConfig, LinearConfig, MlpConfig, TreeConfig
 
@@ -18,22 +19,16 @@ class Kind(NamedTuple):
     from_doc: Callable
 
 
-# Insertion order is MODEL_KINDS' order, and so the CLI's --model choices.
-KINDS = {
-    "random_forest": Kind(
-        ForestConfig, forest.fit, forest.score, forest.to_doc, forest.from_doc),
-    "decision_tree": Kind(TreeConfig, tree.fit, tree.score, tree.to_doc, tree.from_doc),
-    "logistic_regression": Kind(
-        LinearConfig, linear.fit_logistic, linear.score, linear.to_doc, linear.from_doc),
-    "linear_svm": Kind(
-        LinearConfig, linear.fit_svm, linear.score, linear.to_doc, linear.from_doc),
-    "gaussian_nb": Kind(
-        GnbConfig, naive_bayes.fit, naive_bayes.score, naive_bayes.to_doc,
-        naive_bayes.from_doc),
-    "ann": Kind(MlpConfig, mlp.fit, mlp.score, mlp.to_doc, mlp.from_doc),
-}
-
-MODEL_KINDS = tuple(KINDS)
+# In MODEL_KINDS' order, which is the CLI's --model choices.
+KINDS = dict(zip(MODEL_KINDS, (
+    Kind(ForestConfig, forest.fit, forest.score, forest.to_doc, forest.from_doc),
+    Kind(TreeConfig, tree.fit, tree.score, tree.to_doc, tree.from_doc),
+    Kind(LinearConfig, linear.fit_logistic, linear.score, linear.to_doc, linear.from_doc),
+    Kind(LinearConfig, linear.fit_svm, linear.score, linear.to_doc, linear.from_doc),
+    Kind(GnbConfig, naive_bayes.fit, naive_bayes.score, naive_bayes.to_doc,
+         naive_bayes.from_doc),
+    Kind(MlpConfig, mlp.fit, mlp.score, mlp.to_doc, mlp.from_doc),
+), strict=True))
 
 # Kinds that model a decision boundary and therefore need both classes.
 DISCRIMINATIVE_KINDS = frozenset(MODEL_KINDS) - {"gaussian_nb"}

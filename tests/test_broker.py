@@ -1,19 +1,21 @@
 """Durable partitioned log: ordering, groups, redelivery, recovery."""
 
-import json
 import os
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 
 import pytest
 
 from maliot.broker import Broker, BrokerConfig, InProcClient, partition_for_key
+from maliot.broker.client import split
 from maliot.errors import (
     BackpressureTimeoutError,
     BadConfigError,
     BadPartitionCountError,
+    LogFormatError,
     OffsetOutOfRangeError,
     TopicExistsError,
     UnknownTopicError,
@@ -166,7 +168,7 @@ def test_torn_tail_truncated_on_recovery(tmp_path):
             b.produce("t", "k", str(i))
     log_path = os.path.join(data, "t-0.log")
     with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write('{"key": "k", "val')  # simulated torn write
+        fh.write("5\t1600000000.25")  # simulated torn write
     with Broker(BrokerConfig(data_dir=data)) as b:
         assert b.partition_length("t", 0) == 5
         p, o = b.produce("t", "k", "5")
@@ -205,15 +207,16 @@ def test_fetch_starts_where_the_caller_says(broker):
         broker.produce("t", f"k{i}", str(i))
     sizes = [broker.partition_length("t", p) for p in (0, 1)]
     broker.commit("g", "t", {0: 1})
-    runs, assigned = broker.fetch("g", "t", {1: 2}, 100)
-    assert assigned == [0, 1]
+    fetched = broker.fetch("g", "t", {1: 2}, 100)
+    # a run per assigned partition, the unnamed one first, with its high water
+    assert [(p, hw) for p, _, _, _, hw in fetched.runs] == [(0, sizes[0]), (1, sizes[1])]
     got = {}
-    for m in rows(runs):
+    for m in rows(split(fetched)):
         got.setdefault(m.partition, []).append(m.offset)
     assert got[0] == list(range(1, sizes[0]))  # committed offset
     assert got.get(1, []) == list(range(2, sizes[1]))  # caller's position
     # the broker keeps nothing: the same fetch returns the same rows
-    assert broker.fetch("g", "t", {1: 2}, 100) == (runs, assigned)
+    assert broker.fetch("g", "t", {1: 2}, 100) == fetched
     with pytest.raises(OffsetOutOfRangeError):
         broker.fetch("g", "t", {0: sizes[0] + 1}, 100)
 
@@ -425,5 +428,88 @@ def test_fsync_every_message_durable(tmp_path):
     with Broker(BrokerConfig(data_dir=data, fsync="every_message")) as b:
         b.create_topic("t", 1)
         b.produce("t", "k", "precious")
-    lines = open(os.path.join(data, "t-0.log")).read().splitlines()
-    assert json.loads(lines[0])["value"] == "precious"
+        with open(os.path.join(data, "t-0.log"), encoding="utf-8") as fh:
+            offset, _, key, value = fh.readline().rstrip("\n").split("\t")
+    assert (offset, key, value) == ("0", "k", "precious")
+
+
+def test_a_tail_torn_at_every_byte_of_the_last_record_recovers_the_one_before(tmp_path):
+    data = str(tmp_path / "b")
+    with Broker(data) as b:
+        b.create_topic("t", 1)
+        for i in range(3):
+            b.produce("t", "k", f"v\t{i}")
+    log_path = os.path.join(data, "t-0.log")
+    with open(log_path, "rb") as fh:
+        whole = fh.read()
+    last = whole.rindex(b"\n", 0, len(whole) - 1) + 1  # where the third line starts
+    for cut in range(last, len(whole)):
+        with open(log_path, "wb") as fh:
+            fh.write(whole[:cut])
+        with Broker(data) as b:
+            assert b.partition_length("t", 0) == 2
+            assert os.path.getsize(log_path) == last
+            assert [m.value for m in rows(split(b.fetch("g", "t", {}, 10)))] == \
+                ["v\t0", "v\t1"]
+            assert b.produce("t", "k", "again") == (0, 2)
+
+
+def test_a_json_lines_log_is_refused_not_truncated(tmp_path):
+    data = tmp_path / "b"
+    data.mkdir()
+    (data / "topics.json").write_text('{"t": 1}')
+    old = '{"offset":0,"key":"k","value":"v"}\n'
+    (data / "t-0.log").write_text(old)
+    with pytest.raises(LogFormatError, match="t-0.log"):
+        Broker(str(data))
+    assert (data / "t-0.log").read_text() == old
+
+
+def test_a_poll_reports_each_assigned_partitions_lag(broker, client):
+    broker.create_topic("t", 3)
+    for i in range(30):
+        broker.produce("t", f"k{i}", str(i))
+    client.subscribe("g", "t")
+    assert client.lag("g", "t") == {}
+    client.poll("g", "t", 10)
+    lag = client.lag("g", "t")
+    assert set(lag) == {0, 1, 2} and sum(lag.values()) == 20
+    while client.poll("g", "t", 10):
+        pass
+    assert client.lag("g", "t") == {0: 0, 1: 0, 2: 0}
+    broker.produce("t", "k0", "late")
+    client.poll("g", "t", 10, timeout_ms=0)
+    assert client.lag("g", "t") == {0: 0, 1: 0, 2: 0}  # a poll under the cap drains
+    client.subscribe("g", "t")  # a new session knows nothing yet
+    assert client.lag("g", "t") == {}
+
+
+def test_the_broker_keeps_no_heap_per_row(tmp_path):
+    """Producing 50k rows retains about their 8-byte line index and nothing
+    per row else; so does recovering their log, whose transient peak is
+    about one read block however long the log is."""
+    from maliot.broker.core import _BLOCK
+    row = ("1600000000.25,10.0.0.10,49152,93.184.216.34,443,tcp,ssl,1.5,512,"
+           "2048,SF,0,10,900,12,2500,benign,dev-0")
+    n, data = 50_000, str(tmp_path / "b")
+    tracemalloc.start()
+    try:
+        with Broker(data) as b:
+            b.create_topic("t", 1)
+            b.produce("t", "dev-0", row)  # the first produce's one-off costs
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                b.produce("t", "dev-0", row)
+            produced = tracemalloc.get_traced_memory()[0] - before
+        del b
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with Broker(data) as b:
+            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+            assert b.partition_length("t", 0) == n + 1
+    finally:
+        tracemalloc.stop()
+    assert produced / n <= 16
+    assert retained / n <= 16
+    assert peak - retained <= _BLOCK + 64 * 1024
+    assert os.path.getsize(os.path.join(data, "t-0.log")) > 2 * peak

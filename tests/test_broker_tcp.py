@@ -1,8 +1,10 @@
 """Wire protocol framing and TCP/in-process transport equivalence."""
 
 import json
+import os
 import socket
 import struct
+import tempfile
 import threading
 import time
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from maliot.broker import Broker, BrokerConfig, BrokerServer, InProcClient, TcpClient
 from maliot.broker import protocol
+from maliot.broker.client import split
 from maliot.broker.protocol import (
     MAX_FRAME,
     OP_ACK,
@@ -62,9 +65,10 @@ def test_round_trip_over_socketpair():
     try:
         body = {"topic": "flows", "key": "k", "value": "v" * 500}
         a.sendall(encode_frame(OP_PRODUCE, body))
-        opcode, got = read_frame(b)
+        opcode, got, tail = read_frame(b)
         assert opcode == OP_PRODUCE
         assert got == body
+        assert tail == b""
     finally:
         a.close()
         b.close()
@@ -454,100 +458,199 @@ def test_message_too_big_for_a_frame_gets_err_and_the_connection_lives(
         assert c._sock is sock
 
 
+def _largest_head(partitions: int) -> int:
+    """The largest POLL reply header: a run for every partition, each
+    number at 2**63 - 1."""
+    return len(json.dumps({"runs": [[2**63 - 1] * 5] * partitions},
+                          separators=(",", ":")))
+
+
+def _line_len(offset: int, key: str, value: str) -> int:
+    """Bytes of the log line ``offset\tappend_ts\tkey\tvalue\n``: the stamp
+    is %.6f seconds, and an escaped \\, tab, newline or CR takes one more byte."""
+    def escaped(text):
+        return (len(text.encode("utf-8", "surrogatepass"))
+                + sum(text.count(c) for c in "\\\t\n\r"))
+    return len(b"%d\t%.6f\t" % (offset, time.time())) + escaped(key) + 1 + escaped(value) + 1
+
+
+def _reply_bound(partitions: int, line_bytes: int) -> int:
+    """What the broker sizes a reply at: opcode, largest header, newline, lines."""
+    return 2 + _largest_head(partitions) + line_bytes
+
+
 def test_message_too_big_for_any_reply_is_refused_at_produce(served, monkeypatch):
     broker, server = served
     broker.create_topic("t", 1)
     with pytest.raises(MessageTooLargeError):
-        broker.produce("t", "k", "\x01" * 3_000_000)  # 18 MB once JSON-escaped
+        broker.produce("t", "k", "\t" * 9_000_000)  # 18 MB once escaped
     monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+    value = "x" * 985
+    assert len(encode_frame(OP_PRODUCE, {"topic": "t", "key": "k", "value": value})) == 4 + 1020
+    assert _reply_bound(1, _line_len(0, "k", value)) > 1024
     with TcpClient(server.host, server.port) as c:
-        # a 1020-byte PRODUCE frame whose POLL reply would take 1028 bytes
+        # a 1020-byte PRODUCE frame whose POLL reply could pass 1024 bytes
         with pytest.raises(MessageTooLargeError):  # rehydrated over TCP
-            c.produce("t", "k", "x" * 985)
+            c.produce("t", "k", value)
         assert c.produce("t", "k", "next") == (0, 0)
         c.subscribe("g", "t")
         assert [m.value for m in rows(c.poll("g", "t", 10))] == ["next"]
 
 
-@pytest.mark.parametrize("char", ["x", "\x01", "\U0001f600"])  # 1, 6, 12 bytes
+@pytest.mark.parametrize("char", ["x", "\x01", "\t", "\U0001f600"])  # 1, 1, 2 (escaped), 4 bytes
 def test_largest_message_that_fits_a_reply_round_trips(served, monkeypatch, char):
     broker, server = served
     monkeypatch.setattr(protocol, "MAX_FRAME", 2048)
     broker.create_topic("t", 1)
-
-    def reply_len(n):  # sized for the row at the largest offset
-        return _frame_len([[0, 2**63 - 1, ["k"], [char * n]]], [0])
-
-    n = max(n for n in range(2048) if reply_len(n) <= 2048)
+    n = max(n for n in range(2048)
+            if _reply_bound(1, _line_len(0, "k", char * n)) <= 2048)
+    with pytest.raises(MessageTooLargeError):
+        broker.produce("t", "k", char * (n + 1))
+    assert broker.produce("t", "k", char * n) == (0, 0)
     with TcpClient(server.host, server.port) as c:
-        with pytest.raises(MessageTooLargeError):
-            c.produce("t", "k", char * (n + 1))
-        assert c.produce("t", "k", char * n) == (0, 0)
         c.subscribe("g", "t")
         assert [m.value for m in rows(c.poll("g", "t", 10))] == [char * n]
 
 
-_ROW = st.tuples(st.text(max_size=8),  # any code point: control, non-BMP, surrogates
-                 st.text(max_size=120))
-_RUN = st.builds(
-    lambda p, o, pairs: [p, o, [k for k, _ in pairs], [v for _, v in pairs]],
-    st.integers(0, 8), st.integers(0, 10**12), st.lists(_ROW, min_size=1, max_size=12),
-)
+# any code point: control, non-BMP, lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=120)
 
 
-def _frame_len(runs, assigned) -> int:
-    body = {"runs": runs, "assigned": assigned}
-    return 1 + len(json.dumps(body, separators=(",", ":")).encode())
-
-
-def _first(runs, n):
-    """The reply's first n rows, still as runs."""
+def _log_lines(data_dir, topic, partitions):
+    """Each partition's log lines, newline included, read from its file."""
     out = []
-    for p, o, keys, values in runs:
-        if n > 0:
-            out.append([p, o, keys[:n], values[:n]])
-        n -= len(values)
+    for p in range(partitions):
+        with open(os.path.join(data_dir, f"{topic}-{p}.log"), "rb") as fh:
+            out.append([line + b"\n" for line in fh.read().split(b"\n")[:-1]])
     return out
 
 
-@given(cap=st.integers(64, 3000), runs=st.lists(_RUN, max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_fetch_reply_fits_the_frame_cap(cap, runs):
-    assigned = [0, 1]
-    total = sum(len(run[3]) for run in runs)
-    longest = max(n for n in range(total + 1)
-                  if n == 0 or _frame_len(_first(runs, n), assigned) <= cap)
-    old = protocol.MAX_FRAME
-    protocol.MAX_FRAME = cap
-    try:
-        try:
-            frame = encode_ack({"runs": runs, "assigned": assigned})
-        except ProtocolError:
-            # only when the first row cannot fit on its own
-            assert runs and longest == 0
-            return
-        a, b = socket.socketpair()
-        try:
-            a.sendall(frame)
-            opcode, body = read_frame(b)
-        finally:
-            a.close()
-            b.close()
-    finally:
-        protocol.MAX_FRAME = old
-    assert opcode == OP_ACK
+@given(cap=st.integers(64, 3000), partitions=st.integers(1, 3),
+       produced=st.lists(st.tuples(_TEXT.map(lambda t: t[:8]), _TEXT), max_size=25),
+       max_messages=st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_fetch_reply_fits_the_frame_cap(cap, partitions, produced, max_messages):
+    with tempfile.TemporaryDirectory() as data_dir:
+        with Broker(data_dir) as broker:
+            broker.create_topic("t", partitions)
+            placed = [[] for _ in range(partitions)]
+            for key, value in produced:
+                p, o = broker.produce("t", key, value)
+                placed[p].append((p, o, key, value))
+            old = protocol.MAX_FRAME
+            protocol.MAX_FRAME = cap
+            try:
+                fetched = broker.fetch("g", "t", {}, max_messages)
+                try:
+                    frame = encode_ack({"runs": fetched.runs}, fetched.data)
+                except ProtocolError:
+                    frame = None
+            finally:
+                protocol.MAX_FRAME = old
+            lines = [line for part in _log_lines(data_dir, "t", partitions) for line in part]
+    # a fresh consumer reads its partitions in order: the reply is the
+    # longest prefix of their rows that fits the room, and at least one row
+    want = [row for part in placed for row in part]
+    room, fit = cap - 2 - _largest_head(partitions), 0
+    while (fit < min(len(want), max_messages)
+           and sum(map(len, lines[:fit + 1])) <= room):
+        fit += 1
+    assert rows(split(fetched)) == want[:max(fit, min(len(want), 1))]
+    if frame is None:  # only a first row that fits no room
+        assert fit == 0
+        return
     assert len(frame) - 4 <= cap
-    n = sum(len(run[3]) for run in body["runs"])
-    assert body == {"runs": _first(runs, n), "assigned": assigned}
-    assert n == total or 2 * n >= longest  # about half of what fits, or more
+    a, b = socket.socketpair()
+    try:
+        a.sendall(frame)
+        opcode, body, tail = read_frame(b)
+    finally:
+        a.close()
+        b.close()
+    assert opcode == OP_ACK
+    assert (body, tail) == ({"runs": fetched.runs}, fetched.data)
 
 
-def test_backfill_sized_reply_fits_one_frame():
+def test_backfill_sized_reply_fits_one_frame(tmp_path):
     row = ("1600000000.25,10.0.0.10,49152,93.184.216.34,443,tcp,ssl,1.5,512,"
-           "2048,SF,0,10,900,12,2500,benign,dev-0")
-    runs = [[p, 0, ["dev-0"] * n, [row + "x" * 80] * n]
-            for p, n in enumerate((3334, 3333, 3333))]  # 10k rows
-    frame = encode_ack({"runs": runs, "assigned": [0, 1, 2]})
+           "2048,SF,0,10,900,12,2500,benign,dev-0") + "x" * 80
+    with Broker(str(tmp_path / "b")) as broker:
+        broker.create_topic("t", 3)
+        for i in range(10_000):
+            broker.produce("t", f"dev-{i % 9}", row)
+        fetched = broker.fetch("g", "t", {}, 10_000)
+    frame = encode_ack({"runs": fetched.runs}, fetched.data)
+    assert sum(run[2] for run in fetched.runs) == 10_000  # one reply holds the batch
     assert len(frame) > 1_900_000
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4 <= MAX_FRAME
+
+
+@given(produced=st.lists(st.tuples(_TEXT.map(lambda t: t[:8]), _TEXT),
+                         min_size=1, max_size=20))
+@settings(max_examples=30, deadline=None)
+def test_any_text_round_trips_through_a_restart_and_a_tcp_poll(produced):
+    """Tab, newline, CR, backslash, non-BMP and lone surrogates in keys and
+    values come back byte for byte: produced, recovered, fetched over TCP."""
+    for key, value in produced[:1]:
+        produced.append(("\\t\t\n\r\\" + key, "\\n\\\\\n\t\r\U0001f600\udc80" + value))
+    with tempfile.TemporaryDirectory() as data_dir:
+        with Broker(data_dir) as broker:
+            broker.create_topic("t", 2)
+            placed = {p: [] for p in range(2)}
+            for key, value in produced:
+                p, _ = broker.produce("t", key, value)
+                placed[p].append((key, value))
+        with Broker(data_dir) as broker, BrokerServer(broker) as server, \
+                TcpClient(server.host, server.port) as client:
+            client.subscribe("g", "t")
+            got = {p: [] for p in range(2)}
+            while batch := rows(client.poll("g", "t", 7)):
+                for m in batch:
+                    got[m.partition].append((m.key, m.value))
+    assert got == placed
+
+
+class _BadLengthServer:
+    """Answers its first request with a length field over MAX_FRAME followed
+    by four bytes, and every later one with a valid PRODUCE ACK."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._replies = [struct.pack(">I", MAX_FRAME + 1) + b"xxxx"]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn:
+            try:
+                while True:
+                    _recv_frame_bytes(conn)
+                    conn.sendall(self._replies.pop() if self._replies else
+                                 encode_ack({"partition": 0, "offset": 7}))
+            except OSError:
+                return
+
+    def close(self):
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+
+
+def test_a_bad_reply_frame_drops_the_connection():
+    server = _BadLengthServer()
+    try:
+        with TcpClient("127.0.0.1", server.port) as c:
+            with pytest.raises(ProtocolError, match="out of range"):
+                c.produce("t", "k", "v")
+            # the old socket still holds b"xxxx"; read as a length it fails
+            assert c.produce("t", "k", "v") == (0, 7)
+    finally:
+        server.close()

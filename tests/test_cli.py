@@ -4,6 +4,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -515,3 +517,34 @@ def test_malformed_list_flags_exit_2(tmp_path, capsys, argv):
     code, _, _ = run(argv + ["--out-dir" if argv[0] == "bench" else "--data-dir",
                              str(tmp_path / "out")], capsys)
     assert code == EXIT_USAGE
+
+
+def test_the_cli_broker_starts_without_the_inference_stack(tmp_path):
+    code = f"""
+import os, signal, sys, threading
+from maliot import cli
+from maliot.broker import server
+parser = cli.build_parser()
+args = parser.parse_args(["broker", "--data-dir", {str(tmp_path / "b")!r}, "--port", "0",
+                          "--create-topic", "flows:3"])
+started = threading.Event()
+real_start = server.BrokerServer.start
+def start(self):
+    real_start(self)
+    started.set()
+server.BrokerServer.start = start
+def stop():
+    started.wait(10)
+    os.kill(os.getpid(), signal.SIGTERM)
+threading.Thread(target=stop, daemon=True).start()
+assert args.handler(args) == 0
+loaded = sorted(m for m in sys.modules
+                if m == "numpy" or m.startswith(("numpy.", "maliot.models", "maliot.engine",
+                                                 "maliot.bench", "maliot.features")))
+print(loaded)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -106,6 +106,11 @@ class DeliveryMachine(RuleBasedStateMachine):
                 self.log[topic][run.partition][start:end]
             self.position[group][run.partition] = end
             self.delivered[group].update((run.partition, o) for o in range(start, end))
+        # the one member owns every partition; each one's lag is the log's
+        # high-water mark less the session's position
+        assert self.clients[group].lag(group, topic) == {
+            p: len(log) - self.position[group].get(p, 0)
+            for p, log in enumerate(self.log[topic])}
         return runs
 
     # -- rules ----------------------------------------------------------

@@ -210,6 +210,26 @@ def test_a_batch_whose_runs_span_partitions_commits_each_partitions_end(
     broker.close()
 
 
+def test_a_backlogs_last_partial_batch_is_not_held(tmp_path, small_corpus):
+    broker = Broker(BrokerConfig(data_dir=str(tmp_path / "b")))
+    broker.create_topic("flows", 3)
+    for r in small_corpus[:25]:
+        broker.produce("flows", r.device_id, format_row(r))
+    config = EngineConfig(model_path=_trained_model(small_corpus, tmp_path),
+                          sink_path=str(tmp_path / "v.jsonl"),
+                          batch_interval_ms=2000.0, max_batch_rows=10)
+    engine = StreamEngine(InProcClient(broker), config)
+    assert [engine.run_cycle(), engine.run_cycle()] == [10, 10]
+    t0 = time.perf_counter()
+    assert engine.run_cycle() == 5  # the reply before it left 5 rows behind
+    assert time.perf_counter() - t0 < 0.5
+    t0 = time.perf_counter()
+    assert engine.run_cycle() == 0  # drained: the next poll holds again
+    assert time.perf_counter() - t0 >= 1.9
+    engine.close()
+    broker.close()
+
+
 class CountingClient(InProcClient):
     """Records each poll's piggybacked commit, the rows it returned, and
     every separate commit call."""
