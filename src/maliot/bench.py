@@ -24,7 +24,7 @@ from .broker import Broker, BrokerConfig, BrokerServer, TcpClient
 from .engine import EngineConfig, StreamEngine
 from .errors import InsufficientDataError
 from .features import encode_batch, fit_codec
-from .models import MlpConfig, Prediction
+from .models import MlpConfig
 
 # Stable CSV projection; every experiment fills the columns that apply.
 CSV_COLUMNS = (
@@ -65,7 +65,7 @@ def _new_report(experiment: str, seed: int) -> BenchReport:
 
 # -- timing primitives ------------------------------------------------------
 
-def _time_single(fn_one, X: np.ndarray, sample: np.ndarray,
+def _time_single(score, X: np.ndarray, sample: np.ndarray,
                  repetitions: int) -> tuple[list[float], list[float]]:
     """Per-repetition mean us/row for one-at-a-time calls, plus the pooled
     per-call durations for percentile work."""
@@ -75,19 +75,19 @@ def _time_single(fn_one, X: np.ndarray, sample: np.ndarray,
         durs = []
         for i in sample:
             t0 = time.perf_counter()
-            fn_one(X[i])
+            score(X[i])
             durs.append((time.perf_counter() - t0) * 1e6)
         rep_means.append(float(np.mean(durs)))
         pool.extend(durs)
     return rep_means, pool
 
 
-def _time_batch(fn_many, X: np.ndarray, repetitions: int) -> list[float]:
+def _time_batch(score, X: np.ndarray, repetitions: int) -> list[float]:
     """Per-repetition amortized us/row for one call over the whole slab."""
     out = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        fn_many(X)
+        score(X)
         out.append((time.perf_counter() - t0) * 1e6 / X.shape[0])
     return out
 
@@ -138,27 +138,27 @@ def bench_inference(trained: list, codecs: list, records: list,
             reps.append((time.perf_counter() - t0) * 1e6 / len(records))
         encoded[fp] = (X, float(np.median(reps)))
 
-    timed = []  # (kind, feature set, X, featurize us, one-row fn, batch fn)
+    timed = []  # (kind, feature set, X, featurize us, scoring fn)
     for model in trained:
         codec = by_fp.get(model.codec_fingerprint)
         if codec is None:
             raise ValueError(f"no codec provided for {model.kind}")
         X, featurize_us = encoded[codec.fingerprint()]
+        # the calls the engine makes on a batch
         timed.append((model.kind, codec.feature_set, X, featurize_us,
-                      lambda x, m=model: models.predict(m, x),
-                      lambda XX, m=model: models.predict_batch(m, XX)))
+                      lambda XX, m=model: models.labels_from_scores(
+                          m, models.score_batch(m, XX))))
     # harness self-check rows: a model that does nothing at all
-    timed.append(("noop", "", timed[0][2], None, lambda x: Prediction("benign", 0.0),
-                  lambda XX: [Prediction("benign", 0.0)] * XX.shape[0]))
-    for kind, feature_set, X, featurize_us, fn_one, fn_many in timed:
+    timed.append(("noop", "", timed[0][2], None, lambda XX: XX))
+    for kind, feature_set, X, featurize_us, score in timed:
         sample = rng.choice(X.shape[0], size=min(single_sample, X.shape[0]),
                             replace=False)
-        fn_one(X[0])  # warm-up
-        fn_many(X[:MIN_BENCH_ROWS])
-        rep_means, pool = _time_single(fn_one, X, sample, repetitions)
+        score(X[0])  # warm-up
+        score(X[:MIN_BENCH_ROWS])
+        rep_means, pool = _time_single(score, X, sample, repetitions)
         report.rows.append(_timing_row(
             kind, feature_set, 1, rep_means, pool, featurize_us))
-        batch_reps = _time_batch(fn_many, X[:MIN_BENCH_ROWS], repetitions)
+        batch_reps = _time_batch(score, X[:MIN_BENCH_ROWS], repetitions)
         report.rows.append(_timing_row(
             kind, feature_set, MIN_BENCH_ROWS, batch_reps, None, featurize_us))
     return report

@@ -1,12 +1,12 @@
 """Producer/consumer clients: one in-process, one speaking the TCP frames.
 
-Both expose the same calls (create_topic, produce, subscribe, poll, lag,
-commit, leave) with the same error behavior, so everything downstream
-takes "a client" and never cares which transport is underneath.  Both get
-a fetch as the broker's log bytes and split them into Runs here, with one
-function.  Both keep their read positions here, in the client, and advance
-each past the end of the run the fetch returned for it (see core.py); the
-broker keeps none.
+Each call (create_topic, produce, subscribe, poll, lag, commit, leave) is
+written once, as the request body it sends through ``_call``: the
+in-process client hands it to ``Broker.handle``, and the TCP client frames
+it for the server, which hands it to the same method.  So both run the same
+request decoding and raise the same errors.  A fetch comes back as the
+broker's log bytes, split into Runs here.  The read positions live here too,
+and advance past the end of each run the fetch returned (see core.py).
 """
 
 from __future__ import annotations
@@ -50,16 +50,16 @@ def split(fetched: Fetched) -> list[Run]:
     return runs
 
 
-class _PositionKeeper:
-    """Read positions per (group, topic), partition -> next offset.
+class _Client:
+    """Every broker call, written once as the request body that a transport's
+    ``_call(opcode, body)`` sends; it returns the ACK's body and tail.
 
+    It keeps the read positions per (group, topic), partition -> next offset.
     ``subscribe`` clears them, so a new session resumes from the committed
     offsets.  A fetch returns a run, maybe empty, for each partition it
-    assigns, so each assigned partition gets a position, and partitions no
-    longer assigned are dropped: a member keeps its position in the
-    partitions it still owns, and a partition that changes owner starts
-    from its committed offset.  A failed fetch moves nothing, so a retry
-    returns the same rows.
+    assigns; those get a position and the rest are dropped, so a member keeps
+    its place in the partitions it still owns, and a partition that changes
+    owner starts from its commit.  A failed fetch moves nothing.
     """
 
     def __init__(self, consumer_id: str):
@@ -67,15 +67,24 @@ class _PositionKeeper:
         self._positions: dict[tuple[str, str], dict[int, int]] = {}
         self._lag: dict[tuple[str, str], dict[int, int]] = {}
 
+    def create_topic(self, topic: str, partitions: int) -> None:
+        self._call(OP_CREATE, {"topic": topic, "partitions": partitions})
+
+    def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
+        r, _ = self._call(OP_PRODUCE, {"topic": topic, "key": key, "value": value})
+        return int(r["partition"]), int(r["offset"])
+
     def subscribe(self, group: str, topic: str) -> None:
-        self._membership("subscribe", group, topic)
+        self._call(OP_POLL, {"group": group, "topic": topic,
+                             "consumer": self.consumer_id, "subscribe": True})
         self._positions.pop((group, topic), None)
         self._lag.pop((group, topic), None)
 
     def leave(self, group: str, topic: str) -> None:
         self._positions.pop((group, topic), None)
         self._lag.pop((group, topic), None)
-        self._membership("leave", group, topic)
+        self._call(OP_POLL, {"group": group, "topic": topic,
+                             "consumer": self.consumer_id, "leave": True})
 
     def lag(self, group: str, topic: str) -> dict[int, int]:
         """Per assigned partition, the rows past this session's position at
@@ -87,8 +96,13 @@ class _PositionKeeper:
              commit: dict[int, int] | None = None) -> list[Run]:
         """``Broker.fetch`` from the kept positions, then advance them."""
         pos = self._positions.setdefault((group, topic), {})
-        fetched = self._fetch(group, topic, pos, max_messages, timeout_ms,
-                              min_messages, commit or {})
+        r, data = self._call(OP_POLL, {
+            "group": group, "topic": topic, "consumer": self.consumer_id,
+            "positions": pos, "max_messages": max_messages,
+            "timeout_ms": timeout_ms, "min_messages": min_messages,
+            "commit": commit or {},
+        })
+        fetched = Fetched(r["runs"], data)
         runs = split(fetched)
         ends = {p: offset + n for p, offset, n, _, _ in fetched.runs}
         for p in set(pos).difference(ends):
@@ -100,6 +114,12 @@ class _PositionKeeper:
             pos[first] = pos.pop(first)
         return runs
 
+    def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
+        self._call(OP_COMMIT, {
+            "group": group, "topic": topic,
+            "offsets": {str(p): int(o) for p, o in offsets.items()},
+        })
+
     def __enter__(self):
         return self
 
@@ -107,35 +127,21 @@ class _PositionKeeper:
         self.close()
 
 
-class InProcClient(_PositionKeeper):
-    """Thin veneer over a Broker object living in the same process."""
+class InProcClient(_Client):
+    """A client of a Broker living in the same process."""
 
     def __init__(self, broker: Broker, consumer_id: str = "_default"):
         super().__init__(consumer_id)
         self.broker = broker
 
-    def create_topic(self, topic: str, partitions: int) -> None:
-        self.broker.create_topic(topic, partitions)
-
-    def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
-        return self.broker.produce(topic, key, value)
-
-    def _membership(self, op: str, group: str, topic: str) -> None:
-        getattr(self.broker, op)(group, topic, self.consumer_id)
-
-    def _fetch(self, group, topic, positions, max_messages, timeout_ms,
-               min_messages, commit):
-        return self.broker.fetch(group, topic, positions, max_messages,
-                                 timeout_ms, self.consumer_id, min_messages, commit)
-
-    def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
-        self.broker.commit(group, topic, offsets)
+    def _call(self, opcode: int, body: dict) -> tuple[dict, bytes]:
+        return self.broker.handle(opcode, body)
 
     def close(self) -> None:
         pass
 
 
-class TcpClient(_PositionKeeper):
+class TcpClient(_Client):
     """Blocking single-connection client for the D-frame protocol.
 
     Connection establishment retries a few times with a flat delay and
@@ -178,61 +184,32 @@ class TcpClient(_PositionKeeper):
         """One request and its ACK: the reply's body and tail."""
         frame = encode_frame(opcode, body)
         sock = self._connect()
-        # a held POLL is answered up to its timeout_ms late
-        timeout = self.timeout_s + body.get("timeout_ms", 0) / 1000.0
+        # a held POLL is answered up to its timeout_ms late; a negative one not early
+        timeout = self.timeout_s + max(body.get("timeout_ms", 0), 0) / 1000.0
         if sock.gettimeout() != timeout:
             sock.settimeout(timeout)
         try:
             sock.sendall(frame)
             op, reply, tail = read_frame(sock)
         except (ConnectionError, OSError) as exc:
-            self._drop()
+            self.close()
             raise BrokerUnreachableError(f"{self.host}:{self.port}: {exc}") from None
         except ProtocolError:
-            self._drop()  # what is left of a bad frame would read as the next reply
+            self.close()  # what is left of a bad frame would read as the next reply
             raise
         if op == OP_ERR:
             cls = ERROR_REGISTRY.get(reply.get("error", ""), MaliotError)
             raise cls(reply.get("message", ""))
         if op != OP_ACK:
-            self._drop()
+            self.close()
             raise ProtocolError(f"unexpected reply opcode {op}")
         return reply, tail
 
-    def _drop(self) -> None:
+    def close(self) -> None:
+        """Drop the connection; a later call opens a new one."""
         if self._sock is not None:
             try:
                 self._sock.close()
             except OSError:
                 pass
             self._sock = None
-
-    def create_topic(self, topic: str, partitions: int) -> None:
-        self._call(OP_CREATE, {"topic": topic, "partitions": partitions})
-
-    def produce(self, topic: str, key: str, value: str) -> tuple[int, int]:
-        r, _ = self._call(OP_PRODUCE, {"topic": topic, "key": key, "value": value})
-        return int(r["partition"]), int(r["offset"])
-
-    def _membership(self, op: str, group: str, topic: str) -> None:
-        self._call(OP_POLL, {"group": group, "topic": topic,
-                             "consumer": self.consumer_id, op: True})
-
-    def _fetch(self, group, topic, positions, max_messages, timeout_ms,
-               min_messages, commit):
-        r, data = self._call(OP_POLL, {
-            "group": group, "topic": topic, "consumer": self.consumer_id,
-            "positions": positions, "max_messages": max_messages,
-            "timeout_ms": timeout_ms, "min_messages": min_messages,
-            "commit": commit,
-        })
-        return Fetched(r["runs"], data)
-
-    def commit(self, group: str, topic: str, offsets: dict[int, int]) -> None:
-        self._call(OP_COMMIT, {
-            "group": group, "topic": topic,
-            "offsets": {str(p): int(o) for p, o in offsets.items()},
-        })
-
-    def close(self) -> None:
-        self._drop()

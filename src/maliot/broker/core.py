@@ -32,11 +32,13 @@ from ..errors import (
     LogFormatError,
     MessageTooLargeError,
     OffsetOutOfRangeError,
+    ProtocolError,
     TopicExistsError,
     UnknownTopicError,
 )
 from ..hashing import stable_hash32
 from . import protocol
+from .protocol import OP_COMMIT, OP_CREATE, OP_POLL, OP_PRODUCE
 
 _TOPIC_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 
@@ -186,7 +188,7 @@ class _Partition:
 
 
 class Broker:
-    """In-process broker core; both transports drive this object."""
+    """In-process broker core; both transports reach it through ``handle``."""
 
     def __init__(self, config: BrokerConfig | str):
         if isinstance(config, str):
@@ -358,6 +360,8 @@ class Broker:
         produce that can fill it, or ``release_fetches``, wakes it.  Keeps
         no state.
         """
+        if max_messages < 0:
+            raise BadConfigError(f"max_messages={max_messages}")
         deadline = time.monotonic() + timeout_ms / 1000.0
         wanted = min(min_messages, max_messages)
         with self._lock:
@@ -429,6 +433,39 @@ class Broker:
     def committed(self, group_id: str, topic: str) -> dict[int, int]:
         with self._lock:
             return dict(self._committed.get(group_id, {}).get(topic, {}))
+
+    # -- requests ---------------------------------------------------------
+
+    def handle(self, opcode: int, body: dict) -> tuple[dict, bytes]:
+        """One request as the clients build it (see client.py): the ACK's
+        body and tail.  The TCP server and the in-process client both call it."""
+        if opcode == OP_CREATE:
+            self.create_topic(body["topic"], int(body["partitions"]))
+            return {"topic": body["topic"], "partitions": int(body["partitions"])}, b""
+        if opcode == OP_PRODUCE:
+            partition, offset = self.produce(
+                body["topic"], str(body["key"]), str(body["value"])
+            )
+            return {"partition": partition, "offset": offset}, b""
+        if opcode == OP_POLL:
+            group, topic = body["group"], body["topic"]
+            consumer = str(body.get("consumer", "_default"))
+            for op in ("subscribe", "leave"):
+                if body.get(op):
+                    getattr(self, op)(group, topic, consumer)
+                    return {}, b""
+            positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
+            commit = {int(p): int(o) for p, o in body.get("commit", {}).items()}
+            fetched = self.fetch(
+                group, topic, positions, int(body.get("max_messages", 100)),
+                float(body.get("timeout_ms", 0.0)), consumer,
+                int(body.get("min_messages", 1)), commit)
+            return {"runs": fetched.runs}, fetched.data
+        if opcode == OP_COMMIT:
+            offsets = {int(p): int(o) for p, o in body["offsets"].items()}
+            self.commit(body["group"], body["topic"], offsets)
+            return {}, b""
+        raise ProtocolError(f"unexpected opcode {opcode}")
 
     # -- lifecycle --------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Threaded TCP front end over the in-process broker core."""
+"""Threaded TCP front end: each request frame goes to ``Broker.handle``."""
 
 from __future__ import annotations
 
@@ -8,25 +8,14 @@ import threading
 
 from ..errors import MaliotError
 from .core import Broker
-from .protocol import (
-    OP_COMMIT,
-    OP_CREATE,
-    OP_ERR,
-    OP_POLL,
-    OP_PRODUCE,
-    ProtocolError,
-    encode_ack,
-    encode_frame,
-    read_frame,
-)
+from .protocol import OP_ERR, ProtocolError, encode_ack, encode_frame, read_frame
 
 log = logging.getLogger(__name__)
 
 
 class BrokerServer:
-    """Accepts connections and maps frames onto Broker calls, one thread
-    per connection.  The broker core does the locking; handlers stay dumb.
-    """
+    """Accepts connections, one thread each, and hands their frames to
+    ``Broker.handle``.  The broker core does the locking; handlers stay dumb."""
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = 0):
         self.broker = broker
@@ -73,7 +62,7 @@ class BrokerServer:
                     self._send_err(conn, exc)
                     return
                 try:
-                    frame = encode_ack(*self._dispatch(opcode, body))
+                    frame = encode_ack(*self.broker.handle(opcode, body))
                 except MaliotError as exc:
                     self._send_err(conn, exc)
                     continue
@@ -96,36 +85,6 @@ class BrokerServer:
             conn.sendall(encode_frame(OP_ERR, body))
         except OSError:
             pass
-
-    def _dispatch(self, opcode: int, body: dict) -> tuple[dict, bytes]:
-        """The ACK's body and tail for one request."""
-        if opcode == OP_CREATE:
-            self.broker.create_topic(body["topic"], int(body["partitions"]))
-            return {"topic": body["topic"], "partitions": int(body["partitions"])}, b""
-        if opcode == OP_PRODUCE:
-            partition, offset = self.broker.produce(
-                body["topic"], str(body["key"]), str(body["value"])
-            )
-            return {"partition": partition, "offset": offset}, b""
-        if opcode == OP_POLL:
-            group, topic = body["group"], body["topic"]
-            consumer = str(body.get("consumer", "_default"))
-            for op in ("subscribe", "leave"):
-                if body.get(op):
-                    getattr(self.broker, op)(group, topic, consumer)
-                    return {}, b""
-            positions = {int(p): int(o) for p, o in body.get("positions", {}).items()}
-            commit = {int(p): int(o) for p, o in body.get("commit", {}).items()}
-            fetched = self.broker.fetch(
-                group, topic, positions, int(body.get("max_messages", 100)),
-                float(body.get("timeout_ms", 0.0)), consumer,
-                int(body.get("min_messages", 1)), commit)
-            return {"runs": fetched.runs}, fetched.data
-        if opcode == OP_COMMIT:
-            offsets = {int(p): int(o) for p, o in body["offsets"].items()}
-            self.broker.commit(body["group"], body["topic"], offsets)
-            return {}, b""
-        raise ProtocolError(f"unexpected opcode {opcode}")
 
     def close(self) -> None:
         self._stop.set()

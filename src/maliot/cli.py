@@ -153,9 +153,15 @@ def _model_kinds(text: str) -> list[str]:
     return kinds
 
 
+def _partition_count(text: str) -> int:
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"partition count {text!r}, want 1 or more")
+
+
 def _topic_spec(text: str) -> tuple[str, int]:
     name, _, parts = text.partition(":")
-    return name, int(parts) if parts else 3
+    return name, _partition_count(parts) if parts else 3
 
 
 def _sim_config(args: argparse.Namespace, n_devices: int,
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="broker address (default: %(default)s)")
     topic.add_argument("--topic", default="flows",
                        help="topic name (default: %(default)s)")
-    partitions.add_argument("--partitions", type=int, default=3,
+    partitions.add_argument("--partitions", type=_partition_count, default=3,
                             help="partitions of a new topic (default: %(default)s)")
     features.add_argument("--features", type=_feature_set, default="full",
                           help="feature regime, full or deid (default: %(default)s)")

@@ -1,4 +1,4 @@
-"""Uniform train/predict/serialize facade over the six classifier kinds."""
+"""Uniform train/score/serialize facade over the six classifier kinds."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import time
 import numpy as np
 
 from ..errors import CodecMismatchError, EmptyDatasetError
-from ..flows import LABEL_ANOMALY, LABEL_BENIGN
 from .base import (
     ForestConfig,
     GnbConfig,
     LinearConfig,
     Metrics,
     MlpConfig,
-    Prediction,
     TrainedModel,
     TreeConfig,
     as_training_matrix,
@@ -32,12 +30,9 @@ __all__ = [
     "GnbConfig",
     "MlpConfig",
     "TrainedModel",
-    "Prediction",
     "Metrics",
     "metrics_from_confusion",
     "train",
-    "predict",
-    "predict_batch",
     "score_batch",
     "labels_from_scores",
     "evaluate",
@@ -96,19 +91,6 @@ def labels_from_scores(model: TrainedModel, scores: np.ndarray) -> np.ndarray:
     if model.kind == "random_forest" and model.params.get("tie_break") == "benign":
         return scores > 0.5
     return scores >= 0.5
-
-
-def predict_batch(model: TrainedModel, X) -> list[Prediction]:
-    scores = score_batch(model, X)
-    anom = labels_from_scores(model, scores)
-    return [
-        Prediction(LABEL_ANOMALY if a else LABEL_BENIGN, float(s))
-        for a, s in zip(anom, scores)
-    ]
-
-
-def predict(model: TrainedModel, x) -> Prediction:
-    return predict_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 def check_codec(model: TrainedModel, codec) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class TrainedModel:
     codec_fingerprint: str = ""
     version: int = 1
     trained_at: float = 0.0
-
-
-class Prediction(NamedTuple):
-    label: str
-    score: float
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def test_acceptance_1_classifier_oracles(request):
         m = models.train("gaussian_nb", X, y)
         queries = np.vstack([X, rng.normal(0, 3, size=(3, d))])
         for q in queries:
-            got = models.predict(m, q).score
+            got = models.score_batch(m, q)[0]
             worst = max(worst, abs(got - oracle_posterior(X, y, q)))
         gnb_sets += 1
     gnb_ok = worst < 1e-9

@@ -221,6 +221,16 @@ def test_fetch_starts_where_the_caller_says(broker):
         broker.fetch("g", "t", {0: sizes[0] + 1}, 100)
 
 
+def test_a_negative_max_messages_is_refused_not_read_from_the_end(broker):
+    broker.create_topic("t", 1)
+    for i in range(5):
+        broker.produce("t", f"k{i}", str(i))
+    with pytest.raises(BadConfigError, match="-3"):
+        broker.fetch("g", "t", {}, max_messages=-3)
+    empty = broker.fetch("g", "t", {}, max_messages=0)
+    assert empty.runs == [[0, 0, 0, 0, 5]] and empty.data == b""
+
+
 def test_capped_polls_take_turns_across_partitions(client):
     client.create_topic("t", 3)
     for i in range(300):

@@ -29,7 +29,10 @@ from maliot.broker.protocol import (
     read_frame,
 )
 from maliot.errors import (
+    BadConfigError,
+    BadPartitionCountError,
     BrokerUnreachableError,
+    MaliotError,
     MessageTooLargeError,
     OffsetOutOfRangeError,
     TopicExistsError,
@@ -654,3 +657,116 @@ def test_a_bad_reply_frame_drops_the_connection():
             assert c.produce("t", "k", "v") == (0, 7)
     finally:
         server.close()
+
+
+# -- one request path -----------------------------------------------------------
+
+class _RecordingServer:
+    """Keeps the bytes of each request frame on one connection, and answers
+    a PRODUCE with partition 1 offset 7, a fetch with runs at offsets 5 and
+    2 of partitions 0 and 1, and anything else with an empty ACK."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self.frames = []
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn:
+            try:
+                while True:
+                    frame = _recv_frame_bytes(conn)
+                    self.frames.append(frame)
+                    if frame[4] == OP_PRODUCE:
+                        reply = {"partition": 1, "offset": 7}
+                    elif b'"positions"' in frame:
+                        reply = {"runs": [[0, 5, 0, 0, 5], [1, 2, 0, 0, 2]]}
+                    else:
+                        reply = {}
+                    conn.sendall(encode_ack(reply))
+            except OSError:
+                return
+
+    def close(self):
+        self._listener.close()
+
+
+def test_each_client_call_sends_the_same_bytes():
+    server = _RecordingServer()
+    try:
+        with TcpClient("127.0.0.1", server.port, consumer_id="c1") as c:
+            c.create_topic("flows", 3)
+            assert c.produce("flows", "dev-1", "a\tb") == (1, 7)
+            c.subscribe("g", "flows")
+            assert c.poll("g", "flows") == []
+            c.poll("g", "flows", 50, timeout_ms=10.0, min_messages=4,
+                   commit={0: 5, 1: 2})
+            c.commit("g", "flows", {0: 5, 2: 9})
+            c.leave("g", "flows")
+    finally:
+        server.close()
+    assert server.frames == [
+        b'\x00\x00\x00!\x01{"topic":"flows","partitions":3}',
+        b'\x00\x00\x00/\x02{"topic":"flows","key":"dev-1","value":"a\\tb"}',
+        b'\x00\x00\x00?\x03{"group":"g","topic":"flows","consumer":"c1","subscribe":true}',
+        b'\x00\x00\x00~\x03{"group":"g","topic":"flows","consumer":"c1","positions":{},'
+        b'"max_messages":100,"timeout_ms":0.0,"min_messages":1,"commit":{}}',
+        # the positions the last reply left, rotated
+        b'\x00\x00\x00\x94\x03{"group":"g","topic":"flows","consumer":"c1",'
+        b'"positions":{"1":2,"0":5},"max_messages":50,"timeout_ms":10.0,'
+        b'"min_messages":4,"commit":{"0":5,"1":2}}',
+        b'\x00\x00\x006\x04{"group":"g","topic":"flows","offsets":{"0":5,"2":9}}',
+        b'\x00\x00\x00;\x03{"group":"g","topic":"flows","consumer":"c1","leave":true}',
+    ]
+
+
+def _script(c):
+    """One call sequence; each call's result, or the class of its error."""
+    def outcome(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except MaliotError as exc:
+            return type(exc)
+
+    return [
+        outcome(c.create_topic, "t", 2),
+        outcome(c.create_topic, "t", 2),
+        outcome(c.create_topic, "u", 0),
+        outcome(c.produce, "ghost", "k", "v"),
+        outcome(c.poll, "g", "ghost"),
+        *(outcome(c.produce, "t", f"k{i}", f"v{i}") for i in range(6)),
+        outcome(c.produce, "t", "k", "x" * 985),  # fits a frame, not a reply
+        outcome(c.subscribe, "g", "t"),
+        outcome(c.poll, "g", "t", max_messages=-3),
+        outcome(c.poll, "g", "t", max_messages=0),
+        outcome(c.poll, "g", "t", max_messages=0, timeout_ms=-40_000.0),
+        outcome(c.poll, "g", "t", max_messages=4),
+        outcome(c.commit, "g", "t", {0: 99}),
+        outcome(c.poll, "g", "t", commit={0: 1, 1: 1}),
+        outcome(c.lag, "g", "t"),
+        outcome(c.leave, "g", "t"),
+        outcome(c.subscribe, "g", "t"),
+        outcome(c.poll, "g", "t"),
+    ]
+
+
+def test_both_transports_answer_one_script_alike(served, tmp_path, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_FRAME", 1024)
+    _, server = served
+    with TcpClient(server.host, server.port) as tcp:
+        over_tcp = _script(tcp)
+    with Broker(BrokerConfig(data_dir=str(tmp_path / "local"))) as local:
+        in_process = _script(InProcClient(local))
+    assert over_tcp == in_process
+    assert [o for o in over_tcp if isinstance(o, type)] == [
+        TopicExistsError, BadPartitionCountError, UnknownTopicError,
+        UnknownTopicError, MessageTooLargeError, BadConfigError,
+        OffsetOutOfRangeError]
+    assert len(rows(over_tcp[-1])) == 4  # 6 produced, 1 + 1 committed
+
+
+def test_an_unknown_opcode_is_a_protocol_error(tmp_path):
+    with Broker(str(tmp_path)) as broker, pytest.raises(ProtocolError, match="opcode 5"):
+        broker.handle(OP_ACK, {})

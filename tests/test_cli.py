@@ -130,6 +130,32 @@ def test_broker_listen_port_out_of_range_exits_2(tmp_path, capsys, port):
     assert f"maliot: port: {port} is outside 0-65535" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["broker", "--create-topic", "t:0"], "--create-topic"),
+    (["broker", "--create-topic", "t:x"], "--create-topic"),
+    (["replay", "--partitions", "0", "--data", "missing.csv"], "--partitions"),
+    # refused before it tries the network
+    (["gen", "--devices", "1", "--duration", "1", "--partitions", "-1",
+      "--to-broker", "127.0.0.1:1"], "--partitions"),
+])
+def test_a_partition_count_below_one_is_a_usage_error(tmp_path, capsys, argv, flag):
+    if argv[0] == "broker":
+        argv = [*argv, "--data-dir", str(tmp_path / "b")]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert f"argument {flag}: partition count" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_a_partition_count_below_one_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("partitions = 0\n")
+    code, _, err = run(["--config", str(cfg), "replay", "--data", "missing.csv"],
+                       capsys)
+    assert code == EXIT_USAGE
+    assert "maliot: partitions: partition count '0'" in err
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")

@@ -70,8 +70,8 @@ def test_hand_example_posteriors():
 
 def test_hand_example_labels():
     m = fit(HAND_X, HAND_Y)
-    assert models.predict_batch(m, np.array([[0.4]]))[0].label == "benign"
-    assert models.predict_batch(m, np.array([[10.6]]))[0].label == "anomaly"
+    scores = models.score_batch(m, np.array([[0.4], [10.6]]))
+    assert models.labels_from_scores(m, scores).tolist() == [False, True]  # benign, anomaly
 
 
 # -- exhaustive agreement on every small dataset shape ------------------------
